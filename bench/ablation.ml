@@ -13,7 +13,7 @@ open Sic_sim
 
 let replay_cost low trace =
   let b = Compiled.create low in
-  Timing.ns_per_run "replay" ~quota:0.4 (fun () -> Replay.replay b trace)
+  Timing.ns_per_run ~quota:0.4 (fun () -> Replay.replay b trace)
 
 let toggle_alias_ablation () =
   Timing.row "--- toggle coverage: global alias analysis on/off (riscv-mini)\n";
@@ -41,11 +41,11 @@ let activity_ablation () =
       let low = Sic_passes.Compile.lower c in
       let plain =
         let b = Compiled.create low in
-        Timing.ns_per_run "plain" ~quota:0.4 (fun () -> Replay.replay b trace)
+        Timing.ns_per_run ~quota:0.4 (fun () -> Replay.replay b trace)
       in
       let activity =
         let b = Essent.create low in
-        Timing.ns_per_run "activity" ~quota:0.4 (fun () -> Replay.replay b trace)
+        Timing.ns_per_run ~quota:0.4 (fun () -> Replay.replay b trace)
       in
       Timing.row "    %-14s compiled %12.0f ns   essent %12.0f ns   (%+.0f%%)\n" name plain
         activity

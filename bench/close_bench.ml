@@ -17,12 +17,7 @@ let rec rm_rf path =
   end
   else Sys.remove path
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
+let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 let run () =
   let smoke = Sys.getenv_opt "SIC_BENCH_SMOKE" <> None in

@@ -22,7 +22,7 @@ let cycle_cost low =
   let b = Compiled.create low in
   let rng = Sic_fuzz.Rng.create 9 in
   let inputs = Backend.data_inputs b in
-  Timing.ns_per_run "cycles" ~quota:0.25 (fun () ->
+  Timing.ns_per_run ~quota:0.25 (fun () ->
       List.iter
         (fun (n, ty) ->
           b.Backend.poke n

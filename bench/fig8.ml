@@ -21,11 +21,11 @@ let bench_cycles = 4_000
 
 let replay_time low trace =
   let b = Compiled.create low in
-  Timing.ns_per_run "replay" (fun () -> Replay.replay b trace)
+  Timing.ns_per_run (fun () -> Replay.replay b trace)
 
 let replay_time_builtin c trace =
   let b = Compiled.create ~builtin_line:true c in
-  Timing.ns_per_run "replay-builtin" (fun () -> Replay.replay b trace)
+  Timing.ns_per_run (fun () -> Replay.replay b trace)
 
 let variants (c : Sic_ir.Circuit.t) =
   let lower = Sic_passes.Compile.lower in

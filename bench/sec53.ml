@@ -15,16 +15,7 @@ let software_runs low =
   let run_with create ~cycles ~seed =
     let b = create low in
     Backend.reset_sequence b;
-    let rng = Sic_fuzz.Rng.create seed in
-    let inputs = Backend.data_inputs b in
-    for _ = 1 to cycles do
-      List.iter
-        (fun (n, ty) ->
-          b.Backend.poke n
-            (Sic_bv.Bv.random ~width:(Sic_ir.Ty.width ty) (Sic_fuzz.Rng.bits30 rng)))
-        inputs;
-      b.Backend.step 1
-    done;
+    Backend.random_stimulus ~bits:(Sic_fuzz.Rng.bits30 (Sic_fuzz.Rng.create seed)) ~cycles b;
     b.Backend.counts ()
   in
   [

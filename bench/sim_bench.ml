@@ -3,9 +3,10 @@
 
     For each design we record one replay trace (so stimulus generation is
     excluded, the §5.1 methodology), then measure ns/cycle for each backend
-    replaying that same trace: the interpreter, the retired closure/Bv
-    reference tape (plain and activity-driven), and the word-level engine
-    (plain as "compiled", activity-driven as "essent"). Coverage counts are
+    replaying that same trace: the interpreter, the word-level engine
+    (plain as "compiled", activity-driven as "essent") and the lane engine
+    in lockstep. The headline is the word-level engine's median speedup
+    over the interpreter. Coverage counts are
     cross-checked across all backends before timing — a backend that
     disagrees with the interpreter is a correctness bug, not a data point.
 
@@ -18,8 +19,6 @@ open Sic_sim
 let backends : (string * (Sic_ir.Circuit.t -> Backend.t)) list =
   [
     ("interp", Interp.create);
-    ("ref-tape", fun c -> Ref_tape.create c);
-    ("ref-tape-activity", fun c -> Ref_tape.create ~activity:true c);
     ("compiled", fun c -> Compiled.create c);
     ("essent", Essent.create);
     (* the bit-parallel engine driven in lockstep: all 62 lanes replay the
@@ -71,9 +70,7 @@ let run () =
             let b = create low in
             Replay.replay b trace (* warm-up *);
             let ns =
-              Timing.ns_per_run ~quota
-                (Printf.sprintf "%s/%s" name bname)
-                (fun () -> Replay.replay b trace)
+              Timing.ns_per_run ~quota (fun () -> Replay.replay b trace)
             in
             let ns_cycle = ns /. float_of_int (Replay.cycles trace) in
             Timing.row "%-14s %-18s %12.1f\n" name bname ns_cycle;
@@ -81,7 +78,7 @@ let run () =
           backends
       in
       results := (name, per_backend) :: !results;
-      (match (List.assoc_opt "ref-tape" per_backend, List.assoc_opt "compiled" per_backend) with
+      (match (List.assoc_opt "interp" per_backend, List.assoc_opt "compiled" per_backend) with
       | Some old_ns, Some new_ns when new_ns > 0.0 ->
           let s = old_ns /. new_ns in
           speedups := s :: !speedups;
@@ -89,7 +86,7 @@ let run () =
       | _ -> ()))
     Workloads.table2_set;
   let med = median !speedups in
-  Timing.row "\nmedian word-level speedup over the Bv reference tape: %.2fx\n" med;
+  Timing.row "\nmedian word-level speedup over the interpreter: %.2fx\n" med;
   (* --- the lane engine: 62 independent seeds per tape pass ------------- *)
   (* Replay can't exercise independent lanes (a trace is one stimulus
      stream), so this section measures the real workload both ways: random
@@ -129,9 +126,7 @@ let run () =
         Backend.reset_sequence (Lanes.to_backend ~name:"lanes" lt);
         Lanes.run_random lt ~streams:(Array.init lanes_k (stream 0)) ~cycles:1 (* warm-up *);
         let ns_lanes =
-          Timing.ns_per_run ~quota
-            (Printf.sprintf "%s/lanes%d" name lanes_k)
-            (fun () ->
+          Timing.ns_per_run ~quota (fun () ->
               incr seedr;
               Lanes.run_random lt ~streams:(Array.init lanes_k (stream !seedr)) ~cycles)
         in
@@ -140,9 +135,7 @@ let run () =
         Backend.reset_sequence bc;
         Backend.random_stimulus ~bits:(stream 0 0) ~cycles:1 bc (* warm-up *);
         let ns_comp =
-          Timing.ns_per_run ~quota
-            (Printf.sprintf "%s/compiled-random" name)
-            (fun () ->
+          Timing.ns_per_run ~quota (fun () ->
               incr seedr;
               Backend.random_stimulus ~bits:(stream !seedr 0) ~cycles bc)
         in
@@ -206,9 +199,8 @@ let run () =
           List.iter
             (fun (mname, b) ->
               let ns =
-                Timing.ns_per_run ~quota:(quota /. float_of_int rounds)
-                  (Printf.sprintf "%s/%s" name mname)
-                  (fun () -> Replay.replay b trace)
+                Timing.ns_per_run ~quota:(quota /. float_of_int rounds) (fun () ->
+                    Replay.replay b trace)
               in
               let ns_cycle = ns /. float_of_int (Replay.cycles trace) in
               match Hashtbl.find_opt best mname with
@@ -242,7 +234,7 @@ let run () =
       Timing.row
         "profiler ratios: off-vs-baseline %.3fx, counts %.3fx, sampled %.3fx\n"
         off_vs_baseline (prof_ratio "profile-counts") (prof_ratio "profile-sampled");
-      (* hard gates, generous to bechamel noise in smoke runs *)
+      (* hard gates, generous to timer noise in smoke runs *)
       let tol_off = if smoke then 1.50 else 1.05 in
       let tol_sampled = if smoke then 3.0 else 1.10 in
       if off_vs_baseline > tol_off then
@@ -267,7 +259,7 @@ let run () =
       (List.rev !results)
   in
   output_string oc (String.concat ",\n" rows);
-  Printf.fprintf oc "\n  ],\n  \"median_speedup_vs_ref_tape\": %.3f" med;
+  Printf.fprintf oc "\n  ],\n  \"median_speedup_vs_interp\": %.3f" med;
   (match prof_results with
   | [] -> ()
   | _ ->

@@ -21,7 +21,7 @@ let run () =
   ignore (Verilog.parse_string ~file:src_path src);
   ignore (Verilog.load_string ~file:src_path ~dir:src_dir src);
   let measure name fn =
-    let ns = Timing.ns_per_run ~quota name fn in
+    let ns = Timing.ns_per_run ~quota fn in
     let ns_line = ns /. float_of_int lines in
     let lines_s = 1e9 /. ns_line in
     Timing.row "%-14s %10.0f lines/s %10.1f ns/line\n" name lines_s ns_line;

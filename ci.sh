@@ -3,6 +3,11 @@
 set -eu
 cd "$(dirname "$0")"
 
+# Every BENCH_*.json this script writes is a CI artifact and must parse:
+# the writers hand-roll their JSON, so a `%.3f` of nan or a slipped quote
+# would otherwise ship an unreadable artifact unnoticed.
+check_json() { python3 -c 'import json,sys; json.load(open(sys.argv[1]))' "$1"; }
+
 dune build @fmt
 dune build
 dune runtest
@@ -34,6 +39,7 @@ dune exec --no-build bin/sic.exe -- close --db ci_close.db --design closefix \
 dune exec --no-build bin/sic.exe -- db report ci_close.db | grep -q 'proven unreachable'
 dune exec --no-build bin/sic.exe -- db rank ci_close.db --json | grep -q '"uncovered":\[\]'
 SIC_BENCH_SMOKE=1 dune exec --no-build bench/main.exe -- close
+check_json BENCH_close.json
 rm -rf ci_close.db
 
 # Simulation throughput smoke: tiny traces and measurement quota, but the
@@ -41,6 +47,7 @@ rm -rf ci_close.db
 # produce identical coverage counts before timing. Writes BENCH_sim.json
 # (uploaded as a CI artifact) in the same layout as a full run.
 SIC_BENCH_SMOKE=1 dune exec --no-build bench/main.exe -- sim
+check_json BENCH_sim.json
 
 # Lane-engine smoke: at --lanes 1 the bit-parallel engine runs lockstep,
 # so its saved counts must be byte-identical to compiled's under the same
@@ -67,6 +74,7 @@ dune exec --no-build bin/sic.exe -- scan examples/verilog/rv.v --line --toggle -
 dune exec --no-build bin/sic.exe -- cover examples/verilog/rv.v \
   --line --toggle --fsm --cycles 2000 --html ci_verilog.html
 SIC_BENCH_SMOKE=1 dune exec --no-build bench/main.exe -- verilog
+check_json BENCH_verilog.json
 
 # Engine-profiler smoke on the same core: ranked hotspot tables with real
 # source attribution, plus the collapsed-stack artifact (kept at the repo
@@ -85,6 +93,7 @@ grep -q 'rv\.v:[0-9]' ci_hotspots.folded
 # artifact) in the same layout as a full run. (The sic serve CLI itself
 # is smoked by test/cli/check_serve.)
 SIC_BENCH_SMOKE=1 dune exec --no-build bench/main.exe -- serve
+check_json BENCH_serve.json
 
 # Live-plane smoke against the real binary: attach a /watch subscriber,
 # push a run, require one SSE delta within the timeout, validate the

@@ -107,7 +107,7 @@ let op_name = function
    static provenance computed at build time. [ph_hits] counts
    {e value-changing} evaluations — a property of the value stream, so it
    is identical across the plain and activity schedulers (and matches
-   {!Ref_tape}'s), which is what makes the exported artifact
+   {!Interp.create_profiled}'s), which is what makes the exported artifact
    byte-deterministic. [ph_exec] counts actual executions — the dirty-flag
    scheduler's re-evals (profiled builds always run the activity
    schedule) — a live-only diagnostic excluded from the artifact, because

@@ -4,8 +4,8 @@
     slots (signals wider than 62 bits fall back to {!Sic_bv.Bv} slots).
     Higher start-up cost than the interpreter, much higher steady-state
     throughput; a simulation cycle allocates nothing when every signal
-    fits a machine word. See {!Ref_tape} for the retired closure-per-
-    instruction engine kept as the differential-testing baseline. *)
+    fits a machine word. {!Interp} is the reference it is tested
+    against. *)
 
 type t
 (** A built simulation (shared with {!Essent}). *)

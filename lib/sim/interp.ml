@@ -10,6 +10,14 @@ module Bv = Sic_bv.Bv
 module Counts = Sic_coverage.Counts
 module Prep = Backend.Prep
 
+(* The profiler's hit: one value change of a statement, sampled once per
+   clock edge against the value at the previous edge (zero at power-on). *)
+type hit = {
+  stmt : string;
+  mutable last : Bv.t;
+  mutable count : int;
+}
+
 type state = {
   p : Prep.prepared;
   ty_of : string -> Ty.t;
@@ -19,6 +27,7 @@ type state = {
   in_progress : (string, unit) Hashtbl.t;
   counters : (string, int) Hashtbl.t;
   value_counters : (string, int array) Hashtbl.t;  (** cover-values arrays *)
+  hits : hit array;  (** [create_profiled] only; empty otherwise *)
   mutable cycle : int;
   mutable stopped : bool;
 }
@@ -85,7 +94,15 @@ let invalidate (s : state) =
   Hashtbl.reset s.in_progress
 
 let clock_edge (s : state) =
-  (* 1. sample covers / cover-values / stops with pre-edge values *)
+  (* 1. sample hits / covers / cover-values / stops with pre-edge values *)
+  Array.iter
+    (fun h ->
+      let v = value s h.stmt in
+      if not (Bv.equal v h.last) then begin
+        h.last <- v;
+        h.count <- h.count + 1
+      end)
+    s.hits;
   List.iter
     (fun (name, pred) ->
       if Bv.to_bool (eval s pred) then
@@ -161,9 +178,21 @@ let clock_edge (s : state) =
   invalidate s;
   s.cycle <- s.cycle + 1
 
-let create (c : Circuit.t) : Backend.t =
+let make ~profile (c : Circuit.t) : Backend.t * hit array =
   let p = Prep.prepare c in
   let ty_of = Circuit.lookup_of p.Prep.env in
+  let hits =
+    if not profile then [||]
+    else
+      let regs = Prep.reg_name_set p in
+      let add tbl acc =
+        Hashtbl.fold (fun n _ acc -> if Hashtbl.mem regs n then acc else n :: acc) tbl acc
+      in
+      add p.Prep.drivers (add p.Prep.node_defs [])
+      |> List.sort_uniq String.compare
+      |> List.map (fun stmt -> { stmt; last = Bv.zero (Ty.width (ty_of stmt)); count = 0 })
+      |> Array.of_list
+  in
   let s =
     {
       p;
@@ -174,6 +203,7 @@ let create (c : Circuit.t) : Backend.t =
       in_progress = Hashtbl.create 256;
       counters = Hashtbl.create 64;
       value_counters = Hashtbl.create 4;
+      hits;
       cycle = 0;
       stopped = false;
     }
@@ -190,34 +220,47 @@ let create (c : Circuit.t) : Backend.t =
     (fun (name, _, _, w) ->
       Hashtbl.replace s.value_counters name (Array.make (1 lsl min w 20) 0))
     p.Prep.cover_values;
-  Backend.with_telemetry
-  {
-    Backend.backend_name = "interp";
-    circuit = p.Prep.low;
-    poke =
-      (fun name v ->
-        match Hashtbl.find_opt p.Prep.input_names name with
-        | None -> Backend.error "poke: %s is not an input" name
-        | Some w ->
-            Hashtbl.replace s.inputs name (Bv.extend_u v w);
-            invalidate s);
-    peek = (fun name -> value s name);
-    step =
-      (fun n ->
-        for _ = 1 to n do
-          clock_edge s
-        done);
-    counts =
-      (fun () ->
-        let out = Counts.create () in
-        Hashtbl.iter (fun k v -> Counts.set out k v) s.counters;
-        Hashtbl.iter
-          (fun k arr ->
-            Array.iteri
-              (fun v c -> Counts.set out (Sic_coverage.Cover_values.value_key k v) c)
-              arr)
-          s.value_counters;
-        out);
-    cycles = (fun () -> s.cycle);
-    finished = (fun () -> s.stopped);
-  }
+  let backend =
+    Backend.with_telemetry
+      {
+        Backend.backend_name = "interp";
+        circuit = p.Prep.low;
+        poke =
+          (fun name v ->
+            match Hashtbl.find_opt p.Prep.input_names name with
+            | None -> Backend.error "poke: %s is not an input" name
+            | Some w ->
+                Hashtbl.replace s.inputs name (Bv.extend_u v w);
+                invalidate s);
+        peek =
+          (fun name ->
+            if not (Hashtbl.mem p.Prep.env name) then
+              Backend.error "peek: unknown signal %s" name;
+            value s name);
+        step =
+          (fun n ->
+            for _ = 1 to n do
+              clock_edge s
+            done);
+        counts =
+          (fun () ->
+            let out = Counts.create () in
+            Hashtbl.iter (fun k v -> Counts.set out k v) s.counters;
+            Hashtbl.iter
+              (fun k arr ->
+                Array.iteri
+                  (fun v c -> Counts.set out (Sic_coverage.Cover_values.value_key k v) c)
+                  arr)
+              s.value_counters;
+            out);
+        cycles = (fun () -> s.cycle);
+        finished = (fun () -> s.stopped);
+      }
+  in
+  (backend, hits)
+
+let create (c : Circuit.t) : Backend.t = fst (make ~profile:false c)
+
+let create_profiled (c : Circuit.t) : Backend.t * (unit -> (string * int) list) =
+  let b, hits = make ~profile:true c in
+  (b, fun () -> Array.to_list (Array.map (fun h -> (h.stmt, h.count)) hits))

@@ -12,7 +12,7 @@
     [hits] counts {e value-changing} evaluations, not raw executions: the
     number is a property of the value stream, so it is identical across the
     plain and activity-mode schedulers and across engines (compiled vs
-    ref_tape) — which is what makes the artifact deterministic (same
+    the interpreter's counter) — which is what makes the artifact deterministic (same
     design/seed/cycles ⇒ byte-identical bytes regardless of [--activity]
     or [-j]) and lets a differential test catch a dirty-flag scheduler that
     silently skips work. [time_ns] is sampled (every Nth [run_tape]) and

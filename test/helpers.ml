@@ -105,6 +105,45 @@ let fsm_circuit () =
 
 let lower = Sic_passes.Compile.lower
 
+(* Drive a backend with deterministic pseudo-random inputs for [cycles]
+   cycles after one reset cycle, observing every output each cycle:
+   returns the observations and the final counts, which every backend
+   must agree on. *)
+let random_drive (b : Sic_sim.Backend.t) ~seed ~cycles =
+  let open Sic_sim in
+  let bits = Sic_fuzz.Rng.bits30 (Sic_fuzz.Rng.create seed) in
+  let inputs = Backend.data_inputs b and outputs = Backend.outputs b in
+  Backend.reset_sequence b;
+  let observations = Buffer.create 256 in
+  for _ = 1 to cycles do
+    List.iter (fun (n, ty) -> b.Backend.poke n (Bv.random ~width:(Ty.width ty) bits)) inputs;
+    List.iter
+      (fun (n, _) ->
+        Buffer.add_string observations (Bv.to_hex_string (b.Backend.peek n));
+        Buffer.add_char observations ' ')
+      outputs;
+    (* stop behaviour is part of the observation: the first cycle at which
+       [finished] flips must match across backends *)
+    Buffer.add_char observations (if b.Backend.finished () then '!' else '.');
+    b.Backend.step 1
+  done;
+  Alcotest.(check int) "cycles () counts the steps taken" (cycles + 1) (b.Backend.cycles ());
+  (Buffer.contents observations, b.Backend.counts ())
+
+(* a directory name unique to this process and call, under the sandbox cwd *)
+let fresh_dir =
+  let n = ref 0 in
+  fun prefix ->
+    incr n;
+    Printf.sprintf "%s_%d_%d" prefix (Unix.getpid ()) !n
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let contains ~needle hay =
+  let nl = String.length needle and hl = String.length hay in
+  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
+  go 0
+
 (* ------------------------------------------------------------------ *)
 (* Random typed expression generator (for differential tests between    *)
 (* the evaluator, the constant folder and the bit-blaster).             *)
@@ -203,10 +242,9 @@ let standard_vars : (string * Ty.t) list =
     ("s33", Ty.SInt 33);
   ]
 
-(* Every software backend: the interpreter, the word-level engine (plain
-   and activity-driven via Essent), the retired closure/Bv reference
-   tape (plain and activity-driven) kept as the differential oracle, and
-   the bit-parallel lane engine's lockstep facade (3 lanes keeps the
+(* Every software backend: the interpreter (the differential oracle), the
+   word-level engine (plain and activity-driven via Essent), and the
+   bit-parallel lane engine's lockstep facade (3 lanes keeps the
    packed-plane, strided and wide storage classes all honest without
    slowing the suite). *)
 let backends : (string * (Circuit.t -> Sic_sim.Backend.t)) list =
@@ -214,7 +252,5 @@ let backends : (string * (Circuit.t -> Sic_sim.Backend.t)) list =
     ("interp", Sic_sim.Interp.create);
     ("compiled", fun c -> Sic_sim.Compiled.create c);
     ("essent", Sic_sim.Essent.create);
-    ("ref-tape", fun c -> Sic_sim.Ref_tape.create c);
-    ("ref-tape-activity", fun c -> Sic_sim.Ref_tape.create ~activity:true c);
     ("lanes", fun c -> Sic_sim.Lanes.create ~lanes:3 c);
   ]

@@ -15,24 +15,6 @@ module Bmc = Sic_formal.Bmc
 module Replay = Sic_sim.Replay
 open Helpers
 
-let fresh_dir =
-  let n = ref 0 in
-  fun prefix ->
-    incr n;
-    Printf.sprintf "%s_%d_%d" prefix (Unix.getpid ()) !n
-
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
-let contains ~needle hay =
-  let nl = String.length needle and hl = String.length hay in
-  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-  go 0
-
 (* the closure fixture, line-instrumented and lowered — 8 points: 6
    reachable (one only at BMC depth 4), 2 provably dead *)
 let closefix () = lower (fst (Line.instrument (Sic_designs.Closefix.circuit ())))

@@ -4,18 +4,7 @@
 
 module Counts = Sic_coverage.Counts
 module Db = Sic_db.Db
-
-let contains ~needle hay =
-  let nl = String.length needle and hl = String.length hay in
-  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-  go 0
-
-(* Each test gets its own directory under the sandbox cwd. *)
-let fresh_dir =
-  let n = ref 0 in
-  fun prefix ->
-    incr n;
-    Printf.sprintf "%s_%d_%d" prefix (Unix.getpid ()) !n
+open Helpers
 
 let add_ok db ~design ~backend ?(seed = 0) points =
   Db.add db ~design ~backend ~workload:"random" ~seed ~cycles:100

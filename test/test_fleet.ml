@@ -9,19 +9,6 @@ module Fleet = Sic_fleet.Fleet
 module Profile = Sic_sim.Profile
 open Helpers
 
-let fresh_dir =
-  let n = ref 0 in
-  fun prefix ->
-    incr n;
-    Printf.sprintf "%s_%d_%d" prefix (Unix.getpid ()) !n
-
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
 let instrumented name c =
   let ic, _ = Line.instrument c in
   (name, lower ic)

@@ -1,7 +1,7 @@
 (** Engine profiler tests: the artifact format round-trips byte-exactly,
     merge is a positional pointwise sum that rejects shape mismatches, the
-    word-level profiler's per-statement hit counts agree with the closure
-    reference tape (both schedules), and the artifact bytes are
+    word-level profiler's per-statement hit counts agree with the
+    interpreter's value-change counter, and the artifact bytes are
     deterministic — independent of the [~activity] flag and of whether
     timing sampling is on. *)
 
@@ -12,19 +12,8 @@ open Sic_sim
 (* drive a backend with deterministic pseudo-random inputs; the exact
    poke/step sequence is what both engines must see to be comparable *)
 let drive (b : Backend.t) ~seed ~cycles =
-  let rng = Sic_fuzz.Rng.create seed in
-  let inputs = Backend.data_inputs b in
   Backend.reset_sequence b;
-  for _ = 1 to cycles do
-    List.iter
-      (fun (n, ty) ->
-        let w = Sic_ir.Ty.width ty in
-        b.Backend.poke n (Bv.random ~width:w (Sic_fuzz.Rng.bits30 rng)))
-      inputs;
-    b.Backend.step 1
-  done
-
-let lower c = Sic_passes.Compile.lower c
+  Backend.random_stimulus ~bits:(Sic_fuzz.Rng.bits30 (Sic_fuzz.Rng.create seed)) ~cycles b
 
 let profiled_run ?(activity = false) ?(mode = Compiled.Counts_only) c ~seed ~cycles =
   let sim = Compiled.build ~activity ~profile:mode (lower c) in
@@ -80,13 +69,14 @@ let test_merge () =
   | _ -> Alcotest.fail "shape mismatch must raise"
   | exception Profile.Bad_format _ -> ()
 
-(* --- differential: hit counts vs the reference tape -------------------- *)
+(* --- differential: hit counts vs the interpreter ------------------------ *)
 
-(* Both engines count value-changing evaluations per named statement, so
-   wherever a statement has a row in both (the word-level engine eliminates
-   pure copies; the ref tape has no register rows) the counts must be
-   identical — under either ref-tape schedule. *)
-let check_against_ref ~activity name c =
+(* Both engines count value changes per named statement, so wherever a
+   statement has a row in both (the word-level engine eliminates pure
+   copies; the interpreter has no register rows) the counts must be
+   identical. Profiling must not perturb coverage either: the profiled
+   interpreter's counts equal a plain interpreter's on the same drive. *)
+let check_against_interp name c =
   let seed = 11 and cycles = 60 in
   let dp = profiled_run c ~seed ~cycles in
   let compiled_hits = Hashtbl.create 64 in
@@ -94,8 +84,14 @@ let check_against_ref ~activity name c =
     (fun (r : Profile.row) ->
       if r.Profile.is_root then Hashtbl.replace compiled_hits r.Profile.root r.Profile.hits)
     dp.Profile.rows;
-  let rt = Ref_tape.build ~activity ~profile:true (lower c) in
-  drive (Ref_tape.to_backend ~name:"ref" rt) ~seed ~cycles;
+  let profiled, hit_counts = Interp.create_profiled (lower c) in
+  drive profiled ~seed ~cycles;
+  let plain = Interp.create (lower c) in
+  drive plain ~seed ~cycles;
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: profiling leaves coverage unchanged" name)
+    true
+    (Sic_coverage.Counts.equal (plain.Backend.counts ()) (profiled.Backend.counts ()));
   let compared = ref 0 in
   List.iter
     (fun (stmt, ref_count) ->
@@ -104,21 +100,73 @@ let check_against_ref ~activity name c =
       | Some cc ->
           incr compared;
           Alcotest.(check int) (Printf.sprintf "%s: hits of %s" name stmt) ref_count cc)
-    (Ref_tape.hit_counts rt);
+    (hit_counts ());
   Alcotest.(check bool)
     (Printf.sprintf "%s: compared a real set of statements (%d)" name !compared)
     true (!compared >= 3)
 
-let test_hits_match_ref_tape () =
+let test_hits_match_interp () =
   List.iter
-    (fun (name, c) ->
-      check_against_ref ~activity:false name c;
-      check_against_ref ~activity:true name c)
+    (fun (name, c) -> check_against_interp name c)
     [
       ("gcd", gcd_circuit ());
       ("fifo", Sic_designs.Fifo.circuit ());
       ("arbiter", Sic_designs.Arbiter.circuit ());
     ]
+
+(* --- the interpreter's counter on its own ------------------------------ *)
+
+(* A free-running 4-bit counter, whose every hit count follows from the
+   definition: one sample per edge, against the previous edge's value,
+   starting from zero. *)
+let test_interp_hits_exact () =
+  let cb = Sic_ir.Dsl.create_circuit "Ticker" in
+  Sic_ir.Dsl.module_ cb "Ticker" (fun m ->
+      let open Sic_ir.Dsl in
+      let r = reg_ m "r" (Sic_ir.Ty.UInt 4) in
+      connect m r (node m "inc" (bits_s (r +: lit 4 1) ~hi:3 ~lo:0));
+      connect m (output m "msb" (Sic_ir.Ty.UInt 1)) (bit_s r 3);
+      connect m (output m "one" (Sic_ir.Ty.UInt 1)) true_);
+  let b, hit_counts = Interp.create_profiled (lower (Sic_ir.Dsl.finalize cb)) in
+  let hits stmt =
+    match List.assoc_opt stmt (hit_counts ()) with
+    | Some n -> n
+    | None -> Alcotest.failf "no hit row for %s" stmt
+  in
+  Alcotest.(check (list int)) "zero before the first edge" [ 0; 0; 0 ]
+    (List.map hits [ "inc"; "msb"; "one" ]);
+  Alcotest.(check bool) "registers have no row" false (List.mem_assoc "r" (hit_counts ()));
+  b.Backend.step 12;
+  (* inc changes at every edge; msb rises once (r = 8); one leaves zero once *)
+  Alcotest.(check (list int)) "hits after 12 edges" [ 12; 1; 1 ]
+    (List.map hits [ "inc"; "msb"; "one" ])
+
+(* Sampling happens at the clock edge only: peeking every signal between
+   edges (which forces evaluation mid-cycle) must not add hits. *)
+let test_interp_hits_ignore_peeks () =
+  let c = lower (gcd_circuit ()) in
+  let run ~peek =
+    let b, hit_counts = Interp.create_profiled c in
+    let bits = Sic_fuzz.Rng.bits30 (Sic_fuzz.Rng.create 5) in
+    Backend.reset_sequence b;
+    for _ = 1 to 40 do
+      List.iter
+        (fun (n, ty) -> b.Backend.poke n (Bv.random ~width:(Sic_ir.Ty.width ty) bits))
+        (Backend.data_inputs b);
+      if peek then List.iter (fun (n, _) -> ignore (b.Backend.peek n)) (hit_counts ());
+      b.Backend.step 1
+    done;
+    hit_counts ()
+  in
+  Alcotest.(check (list (pair string int))) "same hits" (run ~peek:false) (run ~peek:true)
+
+let interp_hits_bounded =
+  QCheck.Test.make ~count:20 ~name:"interp hit counts never exceed the edges run"
+    QCheck.(pair (int_bound 1000) (int_range 1 50))
+    (fun (seed, cycles) ->
+      let b, hit_counts = Interp.create_profiled (lower (Sic_designs.Fifo.circuit ())) in
+      drive b ~seed ~cycles;
+      List.for_all (fun (_, n) -> n >= 0 && n <= cycles + 1) (hit_counts ()))
 
 (* --- determinism ------------------------------------------------------- *)
 
@@ -152,7 +200,10 @@ let tests =
     Alcotest.test_case "artifact round-trips byte-exactly" `Quick test_format_roundtrip;
     Alcotest.test_case "malformed artifacts raise Bad_format" `Quick test_bad_format;
     Alcotest.test_case "merge sums pointwise, rejects shape mismatch" `Quick test_merge;
-    Alcotest.test_case "hit counts agree with the reference tape" `Quick
-      test_hits_match_ref_tape;
+    Alcotest.test_case "hit counts agree with the interpreter" `Quick test_hits_match_interp;
+    Alcotest.test_case "interp hit counts are exact on a counter" `Quick test_interp_hits_exact;
+    Alcotest.test_case "interp hit counts ignore peeks between edges" `Quick
+      test_interp_hits_ignore_peeks;
+    QCheck_alcotest.to_alcotest interp_hits_bounded;
     QCheck_alcotest.to_alcotest artifact_deterministic;
   ]

@@ -299,21 +299,7 @@ let random_circuit_differential =
       match lower c with
       | exception _ -> QCheck.assume_fail ()
       | low ->
-          let run create =
-            let b = create low in
-            let rng = Sic_fuzz.Rng.create 7 in
-            Backend.reset_sequence b;
-            let obs = Buffer.create 128 in
-            for _ = 1 to 30 do
-              List.iter
-                (fun (n, ty) ->
-                  b.Backend.poke n (Bv.random ~width:(Ty.width ty) (Sic_fuzz.Rng.bits30 rng)))
-                (Backend.data_inputs b);
-              Buffer.add_string obs (Bv.to_hex_string (b.Backend.peek "out"));
-              b.Backend.step 1
-            done;
-            (Buffer.contents obs, b.Backend.counts ())
-          in
+          let run create = random_drive (create low) ~seed:7 ~cycles:30 in
           let o1, c1 = run Interp.create in
           let o2, c2 = run (fun c -> Compiled.create c) in
           let o3, c3 = run Essent.create in

@@ -7,11 +7,6 @@ module Line = Sic_coverage.Line_coverage
 open Helpers
 open Sic_sim
 
-let contains ~needle hay =
-  let nl = String.length needle and hl = String.length hay in
-  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-  go 0
-
 (* two instances of a leaf with a branch, one exercised, one not *)
 let two_instance_run () =
   let cb = Sic_ir.Dsl.create_circuit "Duo" in

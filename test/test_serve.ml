@@ -10,12 +10,7 @@ module Json = Sic_obs.Json
 module Serve = Sic_serve.Serve
 module Http = Serve.Http
 module Client = Serve.Client
-
-let fresh_dir =
-  let n = ref 0 in
-  fun prefix ->
-    incr n;
-    Printf.sprintf "%s_%d_%d" prefix (Unix.getpid ()) !n
+open Helpers
 
 let parse_str s = Http.parse_request (Http.Reader.of_string s)
 

@@ -1,6 +1,6 @@
 (** Cross-backend differential tests: every software simulator (interpreter,
-    word-level engine plain and activity-driven, reference Bv tape plain and
-    activity-driven) must agree on every peeked output, every cover count
+    word-level engine plain and activity-driven, lane engine in lockstep)
+    must agree on every peeked output, every cover count
     and every stop cycle under randomized stimulus, for several designs.
     Plus VCD and replay round-trips, the builtin-line audit and the
     word-level engine's zero-allocation guarantee. *)
@@ -9,34 +9,6 @@ module Bv = Sic_bv.Bv
 module Counts = Sic_coverage.Counts
 open Helpers
 open Sic_sim
-
-(* drive a circuit with deterministic pseudo-random inputs for n cycles,
-   observing all outputs every cycle; returns observations + counts *)
-let random_drive (b : Backend.t) ~seed ~cycles =
-  let rng = Sic_fuzz.Rng.create seed in
-  let inputs = Backend.data_inputs b in
-  let outputs = Backend.outputs b in
-  Backend.reset_sequence b;
-  let observations = Buffer.create 256 in
-  for _ = 1 to cycles do
-    List.iter
-      (fun (n, ty) ->
-        let w = Sic_ir.Ty.width ty in
-        b.Backend.poke n (Bv.random ~width:w (Sic_fuzz.Rng.bits30 rng)))
-      inputs;
-    List.iter
-      (fun (n, _) ->
-        Buffer.add_string observations (Bv.to_hex_string (b.Backend.peek n));
-        Buffer.add_char observations ' ';
-        ignore n)
-      outputs;
-    (* stop behaviour is part of the observation: the first cycle at which
-       [finished] flips must match across backends *)
-    Buffer.add_char observations (if b.Backend.finished () then '!' else '.');
-    b.Backend.step 1
-  done;
-  Alcotest.(check int) "cycles () counts the steps taken" (cycles + 1) (b.Backend.cycles ());
-  (Buffer.contents observations, b.Backend.counts ())
 
 let designs_for_diff () =
   [
@@ -171,6 +143,43 @@ let test_poke_errors () =
   match b.Backend.peek "nonexistent" with
   | exception Backend.Sim_error _ -> ()
   | _ -> Alcotest.fail "peeking a ghost must fail"
+
+(* every backend reports a bad name as a simulation error, not as
+   whatever its internal symbol lookup happens to raise *)
+let expect_sim_error_on_every_backend what f =
+  let low = lower (gcd_circuit ()) in
+  List.iter
+    (fun (name, create) ->
+      match f (create low) with
+      | exception Backend.Sim_error _ -> ()
+      | () -> Alcotest.failf "%s: %s must fail" name what)
+    backends
+
+let test_peek_unknown_all_backends () =
+  expect_sim_error_on_every_backend "peeking a ghost" (fun b ->
+      ignore (b.Backend.peek "nonexistent"))
+
+(* ... and the converse: every declared name, memory ports included, is
+   peekable on every backend and reads the interpreter's value *)
+let test_peek_every_signal_all_backends () =
+  let low = lower (Sic_designs.Fifo.circuit ()) in
+  let env = Sic_ir.Circuit.build_env (Sic_ir.Circuit.main low) in
+  let run create =
+    let b = create low in
+    Backend.reset_sequence b;
+    Backend.random_stimulus ~bits:(Sic_fuzz.Rng.bits30 (Sic_fuzz.Rng.create 9)) ~cycles:30 b;
+    Hashtbl.fold (fun n _ acc -> (n, Bv.to_hex_string (b.Backend.peek n)) :: acc) env []
+    |> List.sort compare
+  in
+  let reference = run Interp.create in
+  List.iter
+    (fun (name, create) ->
+      Alcotest.(check (list (pair string string))) (name ^ " peeks") reference (run create))
+    backends
+
+let test_poke_output_all_backends () =
+  expect_sim_error_on_every_backend "poking an output" (fun b ->
+      b.Backend.poke "io_out_bits" (Bv.zero 16))
 
 let test_combinational_loop_detected () =
   let cb = Sic_ir.Dsl.create_circuit "Loop" in
@@ -339,6 +348,12 @@ let tests =
     Alcotest.test_case "vcd tracer wrapper" `Quick test_tracer;
     Alcotest.test_case "record/replay identical counts" `Quick test_record_replay;
     Alcotest.test_case "poke/peek errors" `Quick test_poke_errors;
+    Alcotest.test_case "peek of an unknown signal raises Sim_error on every backend" `Quick
+      test_peek_unknown_all_backends;
+    Alcotest.test_case "poke of an output raises Sim_error on every backend" `Quick
+      test_poke_output_all_backends;
+    Alcotest.test_case "every declared signal is peekable on every backend" `Quick
+      test_peek_every_signal_all_backends;
     Alcotest.test_case "combinational loop detection" `Quick test_combinational_loop_detected;
     Alcotest.test_case "stop statement" `Quick test_stop_statement;
     Alcotest.test_case "multi-writer memory semantics" `Quick test_multi_writer_memory;

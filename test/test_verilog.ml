@@ -71,11 +71,6 @@ let test_parse_counter_ast () =
         m.Sic_verilog.Ast.mod_ports
   | ms -> Alcotest.failf "expected one module, got %d" (List.length ms)
 
-let contains ~needle hay =
-  let nl = String.length needle and hl = String.length hay in
-  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-  go 0
-
 let test_parse_rejects_blocking_assign () =
   let src = "module m(input clk, output reg q);\nalways @(posedge clk) begin q = 1'b1; end\nendmodule\n" in
   match Verilog.parse_string ~file:"m.v" src with
@@ -128,26 +123,6 @@ let counter_dsl () =
       connect m count cnt);
   Dsl.finalize cb
 
-let random_drive_pair b =
-  let rng = Sic_fuzz.Rng.create 42 in
-  let inputs = Backend.data_inputs b in
-  let outputs = Backend.outputs b in
-  Backend.reset_sequence b;
-  let obs = Buffer.create 256 in
-  for _ = 1 to 300 do
-    List.iter
-      (fun (n, ty) ->
-        b.Backend.poke n (Bv.random ~width:(Ty.width ty) (Sic_fuzz.Rng.bits30 rng)))
-      inputs;
-    List.iter
-      (fun (n, _) ->
-        Buffer.add_string obs (Bv.to_hex_string (b.Backend.peek n));
-        Buffer.add_char obs ' ')
-      outputs;
-    b.Backend.step 1
-  done;
-  (Buffer.contents obs, b.Backend.counts ())
-
 let test_counter_differential () =
   let from_v = Verilog.load_file (fixture "counter.v") in
   let from_dsl = counter_dsl () in
@@ -158,8 +133,8 @@ let test_counter_differential () =
   let low_v = prep from_v and low_dsl = prep from_dsl in
   List.iter
     (fun (bname, create) ->
-      let obs_v, counts_v = random_drive_pair (create low_v) in
-      let obs_d, counts_d = random_drive_pair (create low_dsl) in
+      let obs_v, counts_v = random_drive (create low_v) ~seed:42 ~cycles:300 in
+      let obs_d, counts_d = random_drive (create low_dsl) ~seed:42 ~cycles:300 in
       Alcotest.(check string) (bname ^ ": outputs agree") obs_d obs_v;
       Alcotest.(check bool)
         (bname ^ ": coverage counts agree")
