@@ -8,6 +8,7 @@
 
 module Close = Sic_close.Close
 module Db = Sic_db.Db
+module Json = Sic_obs.Json
 module Line = Sic_coverage.Line_coverage
 
 let rec rm_rf path =
@@ -69,21 +70,24 @@ let run () =
         Timing.row "  -j %d database byte-identical to -j 1 (incl. exclusions.ndjson)\n" jobs
       end)
     results;
-  let oc = open_out "BENCH_close.json" in
-  Printf.fprintf oc "{\n  \"design\": \"closefix\",\n  \"smoke\": %b,\n  \"results\": [\n" smoke;
-  output_string oc
-    (String.concat ",\n"
-       (List.map
-          (fun (jobs, _, (o : Close.outcome), dt) ->
-            let resolved = o.Close.points_covered + o.Close.points_excluded in
-            Printf.sprintf
-              "    { \"jobs\": %d, \"waves\": %d, \"covered\": %d, \"excluded\": %d, \
-               \"wall_s\": %.3f, \"points_per_s\": %.1f }"
-              jobs (List.length o.Close.waves) o.Close.points_covered o.Close.points_excluded
-              dt
-              (float_of_int resolved /. dt))
-          results));
-  output_string oc "\n  ]\n}\n";
-  close_out oc;
-  Timing.row "wrote BENCH_close.json\n";
+  Timing.write_json "BENCH_close.json"
+    [
+      ("design", Json.String "closefix");
+      ("smoke", Json.Bool smoke);
+      ( "results",
+        Json.List
+          (List.map
+             (fun (jobs, _, (o : Close.outcome), dt) ->
+               let resolved = o.Close.points_covered + o.Close.points_excluded in
+               Json.Obj
+                 [
+                   ("jobs", Json.Int jobs);
+                   ("waves", Json.Int (List.length o.Close.waves));
+                   ("covered", Json.Int o.Close.points_covered);
+                   ("excluded", Json.Int o.Close.points_excluded);
+                   ("wall_s", Json.Float dt);
+                   ("points_per_s", Json.Float (float_of_int resolved /. dt));
+                 ])
+             results) );
+    ];
   List.iter (fun (_, dir, _, _) -> rm_rf dir) results

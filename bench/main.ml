@@ -40,12 +40,8 @@ let setup_telemetry () =
       Timing.use_monotonic_clock ();
       Sic_obs.Obs.enable ();
       at_exit (fun () ->
-          let oc = open_out path in
-          Sic_obs.Obs.output_ndjson oc;
-          close_out oc;
-          let oc = open_out (path ^ ".trace") in
-          Sic_obs.Obs.output_chrome_trace oc;
-          close_out oc)
+          Sic_obs.Artifact.save path (Sic_obs.Obs.ndjson_string ());
+          Sic_obs.Artifact.save (path ^ ".trace") (Sic_obs.Obs.chrome_trace_string ()))
 
 let () =
   setup_telemetry ();

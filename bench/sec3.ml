@@ -71,17 +71,9 @@ let run () =
   (* per-backend implementation effort, the §3.x narrative (Treadle: ~200
      lines; ESSENT: ~60 lines in 5 hours) *)
   let loc path =
-    if Sys.file_exists path then begin
-      let ic = open_in path in
-      let n = ref 0 in
-      (try
-         while true do
-           if String.trim (input_line ic) <> "" then incr n
-         done
-       with End_of_file -> ());
-      close_in ic;
-      Some !n
-    end
+    if Sys.file_exists path then
+      let lines = String.split_on_char '\n' (Sic_obs.Artifact.load path Fun.id) in
+      Some (List.length (List.filter (fun l -> String.trim l <> "") lines))
     else None
   in
   Timing.row "\nper-backend cover support (lines of code; paper: Treadle ~200, ESSENT ~60):\n";

@@ -21,6 +21,7 @@
 module Counts = Sic_coverage.Counts
 module Db = Sic_db.Db
 module Obs = Sic_obs.Obs
+module Json = Sic_obs.Json
 module Serve = Sic_serve.Serve
 module Client = Serve.Client
 
@@ -190,18 +191,22 @@ let run () =
             in
             [ ingest; cached; conditional; uncached; fanout ]))
   in
-  let oc = open_out "BENCH_serve.json" in
-  Printf.fprintf oc "{\n  \"smoke\": %b,\n  \"points\": %d,\n  \"runs_ingested\": %d,\n  \"results\": [\n"
-    smoke points n_post;
-  output_string oc
-    (String.concat ",\n"
-       (List.map
-          (fun r ->
-            Printf.sprintf
-              "    { \"name\": %S, \"requests\": %d, \"req_per_s\": %.1f, \"p50_us\": %.1f, \
-               \"p99_us\": %.1f }"
-              r.rname r.requests r.req_per_s r.p50_us r.p99_us)
-          results));
-  output_string oc "\n  ]\n}\n";
-  close_out oc;
-  Timing.row "wrote BENCH_serve.json\n"
+  Timing.write_json "BENCH_serve.json"
+    [
+      ("smoke", Json.Bool smoke);
+      ("points", Json.Int points);
+      ("runs_ingested", Json.Int n_post);
+      ( "results",
+        Json.List
+          (List.map
+             (fun r ->
+               Json.Obj
+                 [
+                   ("name", Json.String r.rname);
+                   ("requests", Json.Int r.requests);
+                   ("req_per_s", Json.Float r.req_per_s);
+                   ("p50_us", Json.Float r.p50_us);
+                   ("p99_us", Json.Float r.p99_us);
+                 ])
+             results) );
+    ]

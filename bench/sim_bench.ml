@@ -14,6 +14,7 @@
     can run the whole thing in seconds; the JSON layout is identical. *)
 
 module Counts = Sic_coverage.Counts
+module Json = Sic_obs.Json
 open Sic_sim
 
 let backends : (string * (Sic_ir.Circuit.t -> Backend.t)) list =
@@ -246,47 +247,62 @@ let run () =
           (Printf.sprintf "sim bench: sampled profiler overhead %.3fx exceeds gate"
              (prof_ratio "profile-sampled")));
   (* BENCH_sim.json: flat record list plus the headline median *)
-  let oc = open_out "BENCH_sim.json" in
-  Printf.fprintf oc "{\n  \"cycles\": %d,\n  \"smoke\": %b,\n  \"results\": [\n" cycles smoke;
   let rows =
     List.concat_map
       (fun (design, per_backend) ->
         List.map
           (fun (bname, ns) ->
-            Printf.sprintf "    { \"design\": %S, \"backend\": %S, \"ns_per_cycle\": %.3f }"
-              design bname ns)
+            Json.Obj
+              [
+                ("design", Json.String design);
+                ("backend", Json.String bname);
+                ("ns_per_cycle", Json.Float ns);
+              ])
           per_backend)
       (List.rev !results)
   in
-  output_string oc (String.concat ",\n" rows);
-  Printf.fprintf oc "\n  ],\n  \"median_speedup_vs_interp\": %.3f" med;
-  (match prof_results with
-  | [] -> ()
-  | _ ->
-      Printf.fprintf oc ",\n  \"profiler\": {\n";
-      let prof_rows =
-        List.map
-          (fun (mname, ns) -> Printf.sprintf "    %S: %.3f" mname ns)
-          prof_results
-      in
-      output_string oc (String.concat ",\n" prof_rows);
-      Printf.fprintf oc ",\n    \"counts_overhead\": %.3f,\n    \"sampled_overhead\": %.3f\n  }"
-        (prof_ratio "profile-counts") (prof_ratio "profile-sampled"));
-  Printf.fprintf oc ",\n  \"lanes\": {\n    \"lanes\": %d,\n    \"results\": [\n" lanes_k;
+  let profiler =
+    match prof_results with
+    | [] -> []
+    | _ ->
+        [
+          ( "profiler",
+            Json.Obj
+              (List.map (fun (mname, ns) -> (mname, Json.Float ns)) prof_results
+              @ [
+                  ("counts_overhead", Json.Float (prof_ratio "profile-counts"));
+                  ("sampled_overhead", Json.Float (prof_ratio "profile-sampled"));
+                ]) );
+        ]
+  in
   let lane_rows =
     List.map
       (fun (design, ns_lane, ns_comp, speedup, vf) ->
-        Printf.sprintf
-          "      { \"design\": %S, \"ns_per_lane_cycle\": %.3f, \"ns_per_cycle_compiled\": \
-           %.3f, \"speedup_vs_compiled\": %.3f, \"vectorized_fraction\": %.3f }"
-          design ns_lane ns_comp speedup vf)
+        Json.Obj
+          [
+            ("design", Json.String design);
+            ("ns_per_lane_cycle", Json.Float ns_lane);
+            ("ns_per_cycle_compiled", Json.Float ns_comp);
+            ("speedup_vs_compiled", Json.Float speedup);
+            ("vectorized_fraction", Json.Float vf);
+          ])
       lanes_rows
   in
-  output_string oc (String.concat ",\n" lane_rows);
-  (match List.find_opt (fun (n, _, _, _, _) -> n = "serv-chisel") lanes_rows with
-  | Some (_, _, _, speedup, _) ->
-      Printf.fprintf oc "\n    ],\n    \"serv_speedup_vs_compiled\": %.3f\n  }" speedup
-  | None -> Printf.fprintf oc "\n    ]\n  }");
-  Printf.fprintf oc "\n}\n";
-  close_out oc;
-  Timing.row "wrote BENCH_sim.json\n"
+  let serv =
+    match List.find_opt (fun (n, _, _, _, _) -> n = "serv-chisel") lanes_rows with
+    | Some (_, _, _, speedup, _) -> [ ("serv_speedup_vs_compiled", Json.Float speedup) ]
+    | None -> []
+  in
+  Timing.write_json "BENCH_sim.json"
+    ([
+       ("cycles", Json.Int cycles);
+       ("smoke", Json.Bool smoke);
+       ("results", Json.List rows);
+       ("median_speedup_vs_interp", Json.Float med);
+     ]
+    @ profiler
+    @ [
+        ( "lanes",
+          Json.Obj
+            ([ ("lanes", Json.Int lanes_k); ("results", Json.List lane_rows) ] @ serv) );
+      ])

@@ -50,3 +50,10 @@ let header title =
   Printf.printf "==============================================================\n%!"
 
 let row fmt = Printf.printf fmt
+
+(** Write a [BENCH_*.json] record: one JSON object, through the shared
+    artifact writer, so strings are JSON-escaped and a non-finite number
+    is [null]. *)
+let write_json path fields =
+  Sic_obs.Artifact.save path (Sic_obs.Json.to_string (Sic_obs.Json.Obj fields) ^ "\n");
+  row "wrote %s\n" path

@@ -5,6 +5,7 @@
     quota so CI can afford the smoke run. *)
 
 module Verilog = Sic_verilog.Verilog
+module Json = Sic_obs.Json
 
 let src_path = "examples/verilog/rv.v"
 let src_dir = Filename.dirname src_path
@@ -34,16 +35,20 @@ let run () =
           ignore (Verilog.load_string ~file:src_path ~dir:src_dir src));
     ]
   in
-  let oc = open_out "BENCH_verilog.json" in
-  Printf.fprintf oc "{\n  \"source\": %S,\n  \"lines\": %d,\n  \"smoke\": %b,\n  \"results\": [\n"
-    src_path lines smoke;
-  output_string oc
-    (String.concat ",\n"
-       (List.map
-          (fun (name, lines_s, ns_line) ->
-            Printf.sprintf "    { \"stage\": %S, \"lines_per_s\": %.0f, \"ns_per_line\": %.2f }"
-              name lines_s ns_line)
-          results));
-  output_string oc "\n  ]\n}\n";
-  close_out oc;
-  Timing.row "wrote BENCH_verilog.json\n"
+  Timing.write_json "BENCH_verilog.json"
+    [
+      ("source", Json.String src_path);
+      ("lines", Json.Int lines);
+      ("smoke", Json.Bool smoke);
+      ( "results",
+        Json.List
+          (List.map
+             (fun (name, lines_s, ns_line) ->
+               Json.Obj
+                 [
+                   ("stage", Json.String name);
+                   ("lines_per_s", Json.Float lines_s);
+                   ("ns_per_line", Json.Float ns_line);
+                 ])
+             results) );
+    ]

@@ -78,15 +78,7 @@ let designs : (string * (unit -> Sic_ir.Circuit.t)) list =
 (* a circuit file: Verilog by suffix, FIRRTL-style text otherwise *)
 let load_circuit_file path =
   if Sic_verilog.Verilog.is_verilog_path path then Sic_verilog.Verilog.load_file path
-  else begin
-    let ic = open_in path in
-    let src =
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    in
-    Sic_ir.Parser.parse_circuit src
-  end
+  else Sic_obs.Artifact.load path Sic_ir.Parser.parse_circuit
 
 let load_circuit ~file ~design =
   match (file, design) with
@@ -128,9 +120,7 @@ let output_arg =
 let write_out ~output text =
   match output with
   | None -> print_string text
-  | Some path ->
-      let oc = open_out path in
-      Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc text)
+  | Some path -> Sic_obs.Artifact.save path text
 
 (* ------------------------------------------------------------------ *)
 (* Telemetry                                                            *)
@@ -154,12 +144,8 @@ let trace_flag =
           "Record telemetry and write a Chrome trace-event file to $(docv), loadable in \
            about://tracing or Perfetto.")
 
-let write_to_channel path emit =
-  match path with
-  | "-" -> emit stderr
-  | path ->
-      let oc = open_out path in
-      Fun.protect ~finally:(fun () -> close_out oc) (fun () -> emit oc)
+let write_telemetry path text =
+  if path = "-" then prerr_string text else Sic_obs.Artifact.save path text
 
 (** Enable recording when either export flag is set, run [f], then export.
     Exports run from a finalizer so a failing run still leaves its partial
@@ -169,10 +155,10 @@ let with_telemetry ~profile ~trace f =
   let finish () =
     (match profile with
     | None -> ()
-    | Some path -> write_to_channel path Obs.output_ndjson);
+    | Some path -> write_telemetry path (Obs.ndjson_string ()));
     match trace with
     | None -> ()
-    | Some path -> write_to_channel path Obs.output_chrome_trace
+    | Some path -> write_telemetry path (Obs.chrome_trace_string ())
   in
   Fun.protect ~finally:finish f
 
@@ -305,7 +291,7 @@ let handle_errors f =
   | Sic_ir.Circuit.Elaboration_error m | Backend.Sim_error m ->
       Printf.eprintf "error: %s\n" m;
       exit 1
-  | Db.Db_error m | Sic_coverage.Counts.Bad_format m | Profile.Bad_format m ->
+  | Db.Db_error m | Sic_obs.Artifact.Bad_format m ->
       Printf.eprintf "error: %s\n" m;
       exit 1
 

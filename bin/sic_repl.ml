@@ -40,15 +40,7 @@ let load name =
   match List.assoc_opt name designs with
   | Some f -> f ()
   | None ->
-      if Sys.file_exists name then begin
-        let ic = open_in name in
-        let src =
-          Fun.protect
-            ~finally:(fun () -> close_in ic)
-            (fun () -> really_input_string ic (in_channel_length ic))
-        in
-        Sic_ir.Parser.parse_circuit src
-      end
+      if Sys.file_exists name then Sic_obs.Artifact.load name Sic_ir.Parser.parse_circuit
       else begin
         Printf.eprintf "unknown design or file %s; designs: %s\n" name
           (String.concat ", " (List.map fst designs));

@@ -104,63 +104,41 @@ let render_diff (d : diff) : string =
     are comments. This is the format the report generators consume,
     independent of which simulator produced it. *)
 
-(* The only header this implementation understands. Other "# sic coverage
-   counts vN" lines are rejected rather than skipped as comments, so a
-   future format bump cannot be silently misread as an empty/partial map
-   (the coverage database versions its counts files through this). *)
+(* The only header this implementation understands; any other "# sic
+   coverage counts vN" line is rejected (see {!Artifact.lines}).
+   A file with no header at all still loads. *)
 let header = "# sic coverage counts v1"
 
-let header_prefix = "# sic coverage counts"
+module Artifact = Sic_obs.Artifact
 
-let output oc (t : t) =
-  output_string oc (header ^ "\n");
-  List.iter (fun (k, v) -> Printf.fprintf oc "%d %s\n" v k) (to_sorted_list t)
-
-let save path (t : t) =
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output oc t)
-
-exception Bad_format of string
-
-let bad_format lineno fmt =
-  Printf.ksprintf (fun m -> raise (Bad_format (Printf.sprintf "line %d: %s" lineno m))) fmt
-
-let parse_line lineno line =
-  let line = String.trim line in
-  if String.length line >= String.length header_prefix
-     && String.sub line 0 (String.length header_prefix) = header_prefix
-  then
-    if line = header then None
-    else bad_format lineno "unsupported counts format %S (this reader understands %S)" line header
-  else if line = "" || line.[0] = '#' then None
-  else
-    match String.index_opt line ' ' with
-    | None -> bad_format lineno "expected '<count> <name>', got %S" line
-    | Some i -> (
-        let count = String.sub line 0 i in
-        let name = String.sub line (i + 1) (String.length line - i - 1) in
-        match int_of_string_opt count with
-        | Some c when c >= 0 -> Some (name, c)
-        | Some _ | None -> bad_format lineno "bad count in %S" line)
+exception Bad_format = Artifact.Bad_format
 
 let of_string s =
   let t = create () in
-  List.iteri
-    (fun i line ->
-      match parse_line (i + 1) line with Some (n, c) -> add t n c | None -> ())
-    (String.split_on_char '\n' s);
+  ignore
+    (Artifact.lines ~header
+       (fun lineno line ->
+         match String.index_opt line ' ' with
+         | None -> Artifact.bad_format lineno "expected '<count> <name>', got %S" line
+         | Some i -> (
+             match int_of_string_opt (String.sub line 0 i) with
+             | Some c when c >= 0 -> add t (String.sub line (i + 1) (String.length line - i - 1)) c
+             | Some _ | None -> Artifact.bad_format lineno "bad count in %S" line))
+       s);
   t
 
 let to_string (t : t) =
   let buf = Buffer.create 256 in
   Buffer.add_string buf (header ^ "\n");
-  List.iter (fun (k, v) -> Buffer.add_string buf (Printf.sprintf "%d %s\n" v k)) (to_sorted_list t);
+  List.iter
+    (fun (k, v) ->
+      Buffer.add_string buf (string_of_int v);
+      Buffer.add_char buf ' ';
+      Buffer.add_string buf k;
+      Buffer.add_char buf '\n')
+    (to_sorted_list t);
   Buffer.contents buf
 
-let load path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let n = in_channel_length ic in
-      of_string (really_input_string ic n))
+let save path (t : t) = Artifact.save path (to_string t)
+
+let load path = Artifact.load path of_string

@@ -63,10 +63,9 @@ val render_diff : diff -> string
     fail loudly. *)
 
 exception Bad_format of string
-(** The message names the offending line number, e.g.
-    ["line 3: bad count in \"x y\""]. *)
+(** {!Sic_obs.Artifact.Bad_format} itself, re-exported: the message names
+    the offending line, e.g. ["line 3: bad count in \"x y\""]. *)
 
-val output : out_channel -> t -> unit
 val save : string -> t -> unit
 val to_string : t -> string
 val of_string : string -> t

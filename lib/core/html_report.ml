@@ -89,18 +89,8 @@ let source_section buf ~source_root ?(heat : line_heat list = []) file
      else "<tr><th>line</th><th class=\"count\">count</th><th>source</th></tr>\n");
   let path = if Filename.is_relative file then Filename.concat source_root file else file in
   let source =
-    if Sys.file_exists path then begin
-      let ic = open_in path in
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () ->
-          let rec go acc =
-            match input_line ic with
-            | l -> go (l :: acc)
-            | exception End_of_file -> Array.of_list (List.rev acc)
-          in
-          Some (go []))
-    end
+    if Sys.file_exists path then
+      Some (Array.of_list (String.split_on_char '\n' (Sic_obs.Artifact.load path Fun.id)))
     else None
   in
   List.iter
@@ -321,10 +311,5 @@ let render ?(title = "SIC coverage report") ?(source_root = Filename.current_dir
 
 let save path ?title ?source_root ?line ?toggle ?fsm ?rv ?timelines ?profile ?excluded
     counts =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc
-        (render ?title ?source_root ?line ?toggle ?fsm ?rv ?timelines ?profile ?excluded
-           counts))
+  Sic_obs.Artifact.save path
+    (render ?title ?source_root ?line ?toggle ?fsm ?rv ?timelines ?profile ?excluded counts)

@@ -249,18 +249,8 @@ let render ?(with_sources = false) (db : db) (counts : Counts.t) : string =
     (fun file ->
       Buffer.add_string buf (Printf.sprintf "--- %s ---\n" file);
       let source_lines =
-        if with_sources && Sys.file_exists file then begin
-          let ic = open_in file in
-          Fun.protect
-            ~finally:(fun () -> close_in ic)
-            (fun () ->
-              let rec go acc =
-                match input_line ic with
-                | l -> go (l :: acc)
-                | exception End_of_file -> Array.of_list (List.rev acc)
-              in
-              Some (go []))
-        end
+        if with_sources && Sys.file_exists file then
+          Some (Array.of_list (String.split_on_char '\n' (Sic_obs.Artifact.load file Fun.id)))
         else None
       in
       List.iter

@@ -93,11 +93,7 @@ let parse_waivers (s : string) : string list =
          let line = String.trim line in
          if line = "" || line.[0] = '#' then None else Some line)
 
-let load_waivers path : string list =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> parse_waivers (really_input_string ic (in_channel_length ic)))
+let load_waivers path : string list = Sic_obs.Artifact.load path parse_waivers
 
 (** Restrict a counts map to the covers a circuit still contains (useful
     after removal, for reporting). *)

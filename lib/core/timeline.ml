@@ -58,17 +58,13 @@ let build ?(total = 0) b = { total; samples = List.rev b.rev_samples }
 (* Interchange format                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* Same versioning discipline as the counts format: a foreign "# sic
-   coverage timeline vN" header is rejected, not skipped as a comment, so
-   a future format bump cannot be misread as an empty timeline. *)
+(* The header is required (see {!Sic_obs.Artifact.lines} for the
+   versioning rule). *)
 let header = "# sic coverage timeline v1"
 
-let header_prefix = "# sic coverage timeline"
+module Artifact = Sic_obs.Artifact
 
-exception Bad_format of string
-
-let bad_format lineno fmt =
-  Printf.ksprintf (fun m -> raise (Bad_format (Printf.sprintf "line %d: %s" lineno m))) fmt
+exception Bad_format = Artifact.Bad_format
 
 let to_string t =
   let buf = Buffer.create 256 in
@@ -80,52 +76,31 @@ let to_string t =
 let of_string s =
   let total = ref 0 in
   let rev_samples = ref [] in
-  let saw_header = ref false in
-  List.iteri
-    (fun i line ->
-      let lineno = i + 1 in
-      let line = String.trim line in
-      if
-        String.length line >= String.length header_prefix
-        && String.sub line 0 (String.length header_prefix) = header_prefix
-      then begin
-        if line <> header then
-          bad_format lineno "unsupported timeline format %S (this reader understands %S)" line
-            header;
-        saw_header := true
-      end
-      else if line = "" || line.[0] = '#' then ()
-      else if not !saw_header then bad_format lineno "missing %S header" header
-      else
+  let saw_header =
+    Artifact.lines ~header
+      (fun lineno line ->
         match String.split_on_char ' ' line with
         | [ "total"; n ] -> (
             match int_of_string_opt n with
             | Some v when v >= 0 -> total := v
-            | Some _ | None -> bad_format lineno "bad total in %S" line)
+            | Some _ | None -> Artifact.bad_format lineno "bad total in %S" line)
         | [ at; covered ] -> (
             match (int_of_string_opt at, int_of_string_opt covered) with
             | Some a, Some c when a >= 0 && c >= 0 -> (
                 match !rev_samples with
                 | (prev, _) :: _ when prev >= a ->
-                    bad_format lineno "sample at %d is not after %d" a prev
+                    Artifact.bad_format lineno "sample at %d is not after %d" a prev
                 | _ -> rev_samples := (a, c) :: !rev_samples)
-            | _ -> bad_format lineno "expected '<at> <covered>', got %S" line)
-        | _ -> bad_format lineno "expected '<at> <covered>', got %S" line)
-    (String.split_on_char '\n' s);
-  if not !saw_header then raise (Bad_format (Printf.sprintf "missing %S header" header));
+            | _ -> Artifact.bad_format lineno "expected '<at> <covered>', got %S" line)
+        | _ -> Artifact.bad_format lineno "expected '<at> <covered>', got %S" line)
+      s
+  in
+  if not saw_header then Artifact.bad_format 1 "missing %S header" header;
   { total = !total; samples = List.rev !rev_samples }
 
-let output oc t = output_string oc (to_string t)
+let save path t = Artifact.save path (to_string t)
 
-let save path t =
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output oc t)
-
-let load path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> of_string (really_input_string ic (in_channel_length ic)))
+let load path = Artifact.load path of_string
 
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                            *)

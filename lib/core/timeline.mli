@@ -39,11 +39,11 @@ val build : ?total:int -> builder -> t
     timeline vN] header raises {!Bad_format} instead of being skipped. *)
 
 exception Bad_format of string
-(** Carries a [line N:] prefix locating the offending line. *)
+(** {!Sic_obs.Artifact.Bad_format} itself, re-exported: the message
+    carries a [line N:] prefix locating the offending line. *)
 
 val to_string : t -> string
 val of_string : string -> t
-val output : out_channel -> t -> unit
 val save : string -> t -> unit
 val load : string -> t
 

@@ -27,6 +27,7 @@ module Counts = Sic_coverage.Counts
 module Timeline = Sic_coverage.Timeline
 module Json = Sic_obs.Json
 module Obs = Sic_obs.Obs
+module Artifact = Sic_obs.Artifact
 
 exception Db_error of string
 
@@ -84,12 +85,6 @@ let runs t = List.rev t.runs_rev
 (* The advisory lock                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 (** Cross-process mutual exclusion for manifest/aggregate updates. The
     lock is a [lock] file in the database directory created with
     [O_CREAT | O_EXCL] (atomic on every POSIX filesystem) and holding the
@@ -121,7 +116,7 @@ module Lock = struct
         Unix.close fd;
         true
     | exception Unix.Unix_error (Unix.EEXIST, _, _) ->
-        (match int_of_string_opt (String.trim (try read_file path with _ -> "")) with
+        (match int_of_string_opt (String.trim (try Artifact.load path Fun.id with _ -> "")) with
         | Some pid when not (owner_alive pid) -> ( try Unix.unlink path with _ -> ())
         | Some _ | None -> ());
         false
@@ -135,7 +130,7 @@ module Lock = struct
         if try_acquire path then ()
         else if Unix.gettimeofday () > deadline then
           error "timed out after %.0fs waiting for %s (held by pid %s)" timeout_s path
-            (String.trim (try read_file path with _ -> "?"))
+            (String.trim (try Artifact.load path Fun.id with _ -> "?"))
         else begin
           Unix.sleepf 0.01;
           acquire ()
@@ -184,18 +179,18 @@ let run_of_json lineno (j : Json.t) : run =
   let str k =
     match Json.string_member k j with
     | Some s -> s
-    | None -> error "manifest line %d: missing field %s" lineno k
+    | None -> Artifact.bad_format lineno "missing field %s" k
   in
   let int k =
     match Json.int_member k j with
     | Some i -> i
-    | None -> error "manifest line %d: missing field %s" lineno k
+    | None -> Artifact.bad_format lineno "missing field %s" k
   in
   let status =
     match str "status" with
     | "ok" -> Run_ok
     | "failed" -> Run_failed (Option.value ~default:"unknown" (Json.string_member "error" j))
-    | s -> error "manifest line %d: unknown status %S" lineno s
+    | s -> Artifact.bad_format lineno "unknown status %S" s
   in
   {
     id = str "id";
@@ -212,23 +207,10 @@ let run_of_json lineno (j : Json.t) : run =
     points_covered = int "points_covered";
   }
 
-let header_json () =
-  Json.Obj
-    [
-      ("type", Json.String "meta");
-      ("format", Json.String "sic-db");
-      ("version", Json.Int version);
-    ]
-
-let append_to path (j : Json.t) =
-  let oc = open_out_gen [ Open_append; Open_creat; Open_wronly ] 0o644 path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (Json.to_string j);
-      output_char oc '\n')
-
-let append_line dir (j : Json.t) = append_to (manifest_path dir) j
+(* Both NDJSON artifacts load the same way: the meta record is checked,
+   then each record is decoded with its physical line number. *)
+let load_records path ~format ~version of_json =
+  Artifact.load path (fun text -> snd (Artifact.records ~format ~version of_json text))
 
 (* ------------------------------------------------------------------ *)
 (* The exclusion artifact                                               *)
@@ -241,14 +223,6 @@ let append_line dir (j : Json.t) = append_to (manifest_path dir) j
    run: deleting runs or re-running a campaign leaves it valid, and
    report/rank/HTML consult it to stop counting dead points as coverage
    debt. *)
-
-let exclusions_header_json () =
-  Json.Obj
-    [
-      ("type", Json.String "meta");
-      ("format", Json.String "sic-exclusions");
-      ("version", Json.Int exclusions_version);
-    ]
 
 let json_of_exclusion (e : exclusion) : Json.t =
   Json.Obj
@@ -264,7 +238,7 @@ let exclusion_of_json lineno (j : Json.t) : exclusion =
   let str k =
     match Json.string_member k j with
     | Some s -> s
-    | None -> error "exclusions line %d: missing field %s" lineno k
+    | None -> Artifact.bad_format lineno "missing field %s" k
   in
   {
     ex_name = str "name";
@@ -272,30 +246,6 @@ let exclusion_of_json lineno (j : Json.t) : exclusion =
     ex_design = str "design";
     ex_wave = Option.value ~default:0 (Json.int_member "wave" j);
   }
-
-let load_exclusions dir : exclusion list =
-  let path = exclusions_path dir in
-  if not (Sys.file_exists path) then []
-  else
-    let lines =
-      read_file path |> String.split_on_char '\n'
-      |> List.filter (fun l -> String.trim l <> "")
-    in
-    let parse lineno l =
-      try Json.parse l
-      with Json.Parse_error m -> error "exclusions line %d: %s" lineno m
-    in
-    match lines with
-    | [] -> []
-    | header :: rest ->
-        let h = parse 1 header in
-        (match (Json.string_member "format" h, Json.int_member "version" h) with
-        | Some "sic-exclusions", Some v when v = exclusions_version -> ()
-        | Some "sic-exclusions", Some v ->
-            error "%s: exclusions version %d, this build reads version %d" dir v
-              exclusions_version
-        | _ -> error "%s: exclusions file does not start with a sic-exclusions meta record" dir);
-        List.mapi (fun i l -> exclusion_of_json (i + 2) (parse (i + 2) l)) rest
 
 (* ------------------------------------------------------------------ *)
 (* Open / create                                                        *)
@@ -309,34 +259,20 @@ let init dir =
      fresh database *)
   if Sys.file_exists (aggregate_path dir) then Sys.remove (aggregate_path dir);
   if Sys.file_exists (exclusions_path dir) then Sys.remove (exclusions_path dir);
-  append_line dir (header_json ());
+  Artifact.append (manifest_path dir) (Artifact.meta ~format:"sic-db" ~version []);
   { dir; runs_rev = []; exclusions_rev = [] }
 
 let load dir =
   if not (Sys.file_exists (manifest_path dir)) then
     error "%s is not a coverage database (no manifest.ndjson); run `sic db init` first" dir;
-  let lines =
-    read_file (manifest_path dir)
-    |> String.split_on_char '\n'
-    |> List.filter (fun l -> String.trim l <> "")
+  let runs = load_records (manifest_path dir) ~format:"sic-db" ~version run_of_json in
+  let exclusions =
+    if Sys.file_exists (exclusions_path dir) then
+      load_records (exclusions_path dir) ~format:"sic-exclusions" ~version:exclusions_version
+        exclusion_of_json
+    else []
   in
-  let parse lineno l =
-    try Json.parse l
-    with Json.Parse_error m -> error "manifest line %d: %s" lineno m
-  in
-  match lines with
-  | [] -> error "%s: empty manifest" dir
-  | header :: rest ->
-      let h = parse 1 header in
-      (match (Json.string_member "format" h, Json.int_member "version" h) with
-      | Some "sic-db", Some v when v = version -> ()
-      | Some "sic-db", Some v ->
-          error "%s: database version %d, this build reads version %d" dir v version
-      | _ -> error "%s: manifest does not start with a sic-db meta record" dir);
-      let runs =
-        List.mapi (fun i l -> run_of_json (i + 2) (parse (i + 2) l)) rest
-      in
-      { dir; runs_rev = List.rev runs; exclusions_rev = List.rev (load_exclusions dir) }
+  { dir; runs_rev = List.rev runs; exclusions_rev = List.rev exclusions }
 
 let open_or_init dir = if Sys.file_exists (manifest_path dir) then load dir else init dir
 
@@ -435,7 +371,7 @@ let add t ~design ?(circuit_hash = "-") ~backend ~workload ~seed ~cycles ?(wave 
       in
       Counts.save (aggregate_path t.dir) agg
   | Error _ -> Obs.count "db.failed_runs");
-  append_line t.dir (json_of_run run);
+  Artifact.append (manifest_path t.dir) (json_of_run run);
   t.runs_rev <- run :: t.runs_rev;
   run
 
@@ -468,10 +404,11 @@ let add_exclusions t (exs : exclusion list) : unit =
   in
   if fresh <> [] then begin
     let path = exclusions_path t.dir in
-    if not (Sys.file_exists path) then append_to path (exclusions_header_json ());
+    if not (Sys.file_exists path) then
+      Artifact.append path (Artifact.meta ~format:"sic-exclusions" ~version:exclusions_version []);
     List.iter
       (fun e ->
-        append_to path (json_of_exclusion e);
+        Artifact.append path (json_of_exclusion e);
         t.exclusions_rev <- e :: t.exclusions_rev)
       fresh
   end

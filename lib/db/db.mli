@@ -69,8 +69,10 @@ val init : string -> t
     {!Db_error} if one already exists there. *)
 
 val load : string -> t
-(** Open an existing database; rejects missing manifests and manifests
-    written by an incompatible format version. *)
+(** Open an existing database. Raises {!Db_error} when there is no
+    manifest, and {!Sic_obs.Artifact.Bad_format} naming the file and line
+    for a malformed manifest or exclusions file, or one written by an
+    incompatible format version. *)
 
 val open_or_init : string -> t
 

@@ -26,6 +26,7 @@ module Removal = Sic_coverage.Removal
 module Db = Sic_db.Db
 module Json = Sic_obs.Json
 module Obs = Sic_obs.Obs
+module Artifact = Sic_obs.Artifact
 module Rng = Sic_fuzz.Rng
 open Sic_sim
 
@@ -408,7 +409,7 @@ let decode (payload : string) : (decoded, string) result =
                 let witness_sections = List.map take witness_lens in
                 let witness_of_section s =
                   match String.index_opt s '\n' with
-                  | None -> raise (Replay.Bad_format "witness section lacks a name line")
+                  | None -> raise (Artifact.Bad_format "witness section lacks a name line")
                   | Some i ->
                       ( String.sub s 0 i,
                         Replay.of_string (String.sub s (i + 1) (String.length s - i - 1)) )
@@ -445,10 +446,7 @@ let decode (payload : string) : (decoded, string) result =
                                 };
                             telemetry;
                           }
-                    | exception Counts.Bad_format m -> fail "bad worker counts: %s" m
-                    | exception Timeline.Bad_format m -> fail "bad worker timeline: %s" m
-                    | exception Profile.Bad_format m -> fail "bad worker profile: %s" m
-                    | exception Replay.Bad_format m -> fail "bad worker witness: %s" m)
+                    | exception Artifact.Bad_format m -> fail "bad worker result: %s" m)
                 | Some "failed" ->
                     Ok
                       {
@@ -648,7 +646,7 @@ let run_jobs ?(jobs = 1) ?timeout_s ?(retries = 1) ?(inject_crash = fun _ -> fal
           (if w.attempt > 0 then Printf.sprintf " attempt %d" (w.attempt + 1) else "")
       in
       try Obs.import_events ~label telemetry
-      with Json.Parse_error m ->
+      with Artifact.Bad_format m ->
         Obs.instant "fleet.telemetry_dropped"
           ~args:[ ("job", Obs.Int w.w_job.index); ("why", Obs.Str m) ]
     end

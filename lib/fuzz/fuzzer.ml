@@ -137,8 +137,7 @@ let save_corpus (dir : string) (seeds : bytes list) : unit =
   List.iteri
     (fun i s ->
       let path = Filename.concat dir (Printf.sprintf "seed%04d.bin" i) in
-      let oc = open_out_bin path in
-      Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_bytes oc s))
+      Sic_obs.Artifact.save path (Bytes.to_string s))
     seeds
 
 (** Load every [*.bin] file of [dir] in name order; [[]] when the
@@ -149,15 +148,7 @@ let load_corpus (dir : string) : bytes list =
     Sys.readdir dir |> Array.to_list
     |> List.filter (fun f -> Filename.check_suffix f ".bin")
     |> List.sort compare
-    |> List.map (fun f ->
-           let ic = open_in_bin (Filename.concat dir f) in
-           Fun.protect
-             ~finally:(fun () -> close_in ic)
-             (fun () ->
-               let n = in_channel_length ic in
-               let b = Bytes.create n in
-               really_input ic b 0 n;
-               b))
+    |> List.map (fun f -> Sic_obs.Artifact.load (Filename.concat dir f) Bytes.of_string)
 
 (* ------------------------------------------------------------------ *)
 (* AFL-style feedback signature                                         *)

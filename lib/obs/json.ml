@@ -32,9 +32,11 @@ let escape_string buf s =
   Buffer.add_char buf '"'
 
 (* The shortest decimal representation that round-trips; always contains a
-   '.' or exponent so the parser reads it back as a Float, never an Int. *)
+   '.' or exponent so the parser reads it back as a Float, never an Int.
+   JSON has no nan or infinity, so a non-finite value prints as null. *)
 let float_repr f =
-  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
+  if not (Float.is_finite f) then "null"
+  else if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
   else
     let s = Printf.sprintf "%.12g" f in
     if float_of_string s = f then s else Printf.sprintf "%.17g" f

@@ -1,6 +1,6 @@
 (** A minimal JSON value type with a printer and a parser — just enough for
-    the telemetry exporters ({!Obs.output_ndjson},
-    {!Obs.output_chrome_trace}) and for tests to round-trip what they emit.
+    the telemetry exporters ({!Obs.ndjson_string},
+    {!Obs.chrome_trace_string}) and for tests to round-trip what they emit.
     No external dependencies; integers are kept distinct from floats so
     counters survive a round-trip exactly. *)
 
@@ -8,7 +8,7 @@ type t =
   | Null
   | Bool of bool
   | Int of int
-  | Float of float
+  | Float of float  (** a non-finite value prints as [null] *)
   | String of string
   | List of t list
   | Obj of (string * t) list

@@ -233,7 +233,14 @@ let json_of_event (e : event) : Json.t =
    rebase timestamps onto its own t0), then one line per event in the
    [json_of_event] schema, then counter summaries to absorb. *)
 
+let export_format = "sic-telemetry"
+
 let export_version = 1
+
+(* the meta record of both NDJSON exports: this one and [ndjson_buffer] *)
+let meta_record fields =
+  Artifact.meta ~format:export_format ~version:export_version
+    (("unit", Json.String "us") :: ("pid", Json.Int (Unix.getpid ())) :: fields)
 
 let export_events () =
   let buf = Buffer.create 1024 in
@@ -241,15 +248,7 @@ let export_events () =
     Json.to_buffer buf j;
     Buffer.add_char buf '\n'
   in
-  line
-    (Json.Obj
-       [
-         ("type", Json.String "meta");
-         ("version", Json.Int export_version);
-         ("unit", Json.String "us");
-         ("pid", Json.Int (Unix.getpid ()));
-         ("t0_us", Json.Float !t0_us);
-       ]);
+  line (meta_record [ ("t0_us", Json.Float !t0_us) ]);
   List.iter (fun e -> line (json_of_event e)) (events ());
   let counter_lines =
     Hashtbl.fold (fun name r acc -> (name, !r) :: acc) counters [] |> List.sort compare
@@ -261,9 +260,6 @@ let export_events () =
            [ ("type", Json.String "counter"); ("name", Json.String name); ("value", Json.Int v) ]))
     counter_lines;
   Buffer.contents buf
-
-let import_error fmt =
-  Printf.ksprintf (fun m -> raise (Json.Parse_error ("telemetry import: " ^ m))) fmt
 
 let value_of_json : Json.t -> value = function
   | Json.Bool b -> Bool b
@@ -277,11 +273,11 @@ let args_of_json j =
   | Some (Json.Obj kvs) -> List.map (fun (k, v) -> (k, value_of_json v)) kvs
   | _ -> []
 
-let event_of_json (j : Json.t) : event option =
+let event_of_json lineno (j : Json.t) : event option =
   let str k = Json.string_member k j in
   let flt k = Option.value ~default:0. (Json.float_member k j) in
   let name () =
-    match str "name" with Some n -> n | None -> import_error "event lacks a name"
+    match str "name" with Some n -> n | None -> Artifact.bad_format lineno "event lacks a name"
   in
   match str "type" with
   | Some "span" ->
@@ -311,42 +307,29 @@ let absorb_counter name v =
   | None -> Hashtbl.replace counters name (ref v)
 
 let import_events ?label (s : string) =
-  let lines =
-    String.split_on_char '\n' s |> List.filter (fun l -> String.trim l <> "")
+  let m, evs =
+    Artifact.records ~format:export_format ~version:export_version
+      (fun lineno j ->
+        match Json.string_member "type" j with
+        | Some "counter" ->
+            (match (Json.string_member "name" j, Json.int_member "value" j) with
+            | Some name, Some v -> absorb_counter name v
+            | _ -> ());
+            None
+        | _ -> event_of_json lineno j)
+      s
   in
-  match lines with
-  | [] -> ()
-  | meta :: rest ->
-      let m = Json.parse meta in
-      if Json.string_member "type" m <> Some "meta" then
-        import_error "payload does not start with a meta record";
-      (match Json.int_member "version" m with
-      | Some v when v = export_version -> ()
-      | Some v -> import_error "export version %d, this reader understands %d" v export_version
-      | None -> import_error "meta record lacks a version");
-      let pid = Option.value ~default:0 (Json.int_member "pid" m) in
-      (* the exporter's timestamps are relative to its own t0; shift them
-         onto ours so one merged trace shows the true schedule *)
-      let offset =
-        match Json.float_member "t0_us" m with Some t0 -> t0 -. !t0_us | None -> 0.
-      in
-      let evs =
-        List.filter_map
-          (fun l ->
-            let j = Json.parse l in
-            match Json.string_member "type" j with
-            | Some "counter" ->
-                (match (Json.string_member "name" j, Json.int_member "value" j) with
-                | Some name, Some v -> absorb_counter name v
-                | _ -> ());
-                None
-            | _ -> Option.map (rebase offset) (event_of_json j))
-          rest
-      in
-      let label =
-        match label with Some l -> l | None -> Printf.sprintf "pid %d" pid
-      in
-      imported := { lane_pid = pid; lane_label = label; lane_events = evs } :: !imported
+  let pid = Option.value ~default:0 (Json.int_member "pid" m) in
+  (* the exporter's timestamps are relative to its own t0; shift them
+     onto ours so one merged trace shows the true schedule *)
+  let offset =
+    match Json.float_member "t0_us" m with Some t0 -> t0 -. !t0_us | None -> 0.
+  in
+  let evs = List.filter_map (Option.map (rebase offset)) evs in
+  let label =
+    match label with Some l -> l | None -> Printf.sprintf "pid %d" pid
+  in
+  imported := { lane_pid = pid; lane_label = label; lane_events = evs } :: !imported
 
 let summary_lines () =
   let counter_lines =
@@ -388,14 +371,7 @@ let ndjson_buffer buf =
     Json.to_buffer buf j;
     Buffer.add_char buf '\n'
   in
-  line
-    (Json.Obj
-       [
-         ("type", Json.String "meta");
-         ("version", Json.Int 1);
-         ("unit", Json.String "us");
-         ("pid", Json.Int (Unix.getpid ()));
-       ]);
+  line (meta_record []);
   List.iter (fun e -> line (json_of_event e)) (events ());
   List.iter line (summary_lines ());
   (* imported worker lanes, each announced by a lane record; lane events
@@ -421,8 +397,6 @@ let ndjson_string () =
   let buf = Buffer.create 4096 in
   ndjson_buffer buf;
   Buffer.contents buf
-
-let output_ndjson oc = output_string oc (ndjson_string ())
 
 let chrome_trace_json ?pid ?tid () : Json.t =
   let pid = match pid with Some p -> p | None -> Unix.getpid () in
@@ -479,7 +453,6 @@ let chrome_trace_json ?pid ?tid () : Json.t =
     ]
 
 let chrome_trace_string ?pid ?tid () = Json.to_string (chrome_trace_json ?pid ?tid ())
-let output_chrome_trace ?pid ?tid oc = output_string oc (chrome_trace_string ?pid ?tid ())
 
 (* ------------------------------------------------------------------ *)
 (* Reporting                                                            *)

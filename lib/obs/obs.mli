@@ -82,8 +82,8 @@ val export_events : unit -> string
 val import_events : ?label:string -> string -> unit
 (** Parse an {!export_events} payload into a new lane (labelled [label],
     default ["pid N"]), rebasing timestamps and absorbing the exporter's
-    counters into ours. Raises [Json.Parse_error] on malformed payloads or
-    an unknown export version. *)
+    counters into ours. Raises {!Artifact.Bad_format} on malformed payloads
+    or an unknown export version. *)
 
 (** {1 Spans} *)
 
@@ -149,24 +149,20 @@ val with_sink : (string -> unit) -> (unit -> 'a) -> 'a
 
 (** {1 Export} *)
 
-val output_ndjson : out_channel -> unit
+val ndjson_string : unit -> string
 (** One JSON object per line: a [meta] header, then every event
     ([span]/[gauge]/[instant]), then [counter] and [histogram] summaries,
     then each imported lane ([lane] record followed by its events, which
     carry the worker's [pid]). The schema is documented in README.md
     ("Observability"). *)
 
-val ndjson_string : unit -> string
-
-val output_chrome_trace : ?pid:int -> ?tid:int -> out_channel -> unit
+val chrome_trace_string : ?pid:int -> ?tid:int -> unit -> string
 (** A single JSON object in the Chrome trace-event format: spans as ["X"]
     (complete) events, gauges as ["C"] (counter) events, instants as ["i"],
     plus ["M"] thread-name metadata labelling each lane. Local events land
     on [pid]/[tid] (default: the real [Unix.getpid ()]); each imported lane
     lands on its own [lane_pid] track. Loadable in [about://tracing] and
     Perfetto. *)
-
-val chrome_trace_string : ?pid:int -> ?tid:int -> unit -> string
 
 val pp_ndjson_line : string -> string
 (** Render one NDJSON telemetry line human-readably ([sic tail]'s

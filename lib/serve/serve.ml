@@ -1166,7 +1166,10 @@ let handle t (req : Http.request) : reply =
 
 (** [handle] plus the 4xx/5xx mapping: parser and payload errors are the
     client's fault, lock timeouts mean "retry later", anything else that
-    escapes is a 500 — never a dead worker. *)
+    escapes is a 500 — never a dead worker. A bad request body is turned
+    into [Http.Bad_request] where it is parsed, so a format error that
+    reaches here comes from a corrupt file on disk, and its message names
+    the file and line. *)
 let safe_handle t (req : Http.request) : reply =
   try handle t req with
   | Http.Bad_request m -> text 400 (m ^ "\n")
@@ -1174,7 +1177,7 @@ let safe_handle t (req : Http.request) : reply =
   | Db.Db_error m when String.length m >= 9 && String.sub m 0 9 = "timed out" ->
       text 503 (m ^ "\n")
   | Db.Db_error m -> text 500 ("database error: " ^ m ^ "\n")
-  | Counts.Bad_format m -> text 400 ("bad counts payload: " ^ m ^ "\n")
+  | Sic_obs.Artifact.Bad_format m -> text 500 ("corrupt database file: " ^ m ^ "\n")
   | e -> text 500 ("internal error: " ^ Printexc.to_string e ^ "\n")
 
 (* ------------------------------------------------------------------ *)

@@ -50,17 +50,15 @@ type design_profile = {
 
 type t = design_profile list
 
-exception Bad_format of string
+module Artifact = Sic_obs.Artifact
 
-let bad_format lineno fmt =
-  Printf.ksprintf (fun m -> raise (Bad_format (Printf.sprintf "line %d: %s" lineno m))) fmt
+exception Bad_format = Artifact.Bad_format
 
 (* ------------------------------------------------------------------ *)
 (* Text format                                                          *)
 (* ------------------------------------------------------------------ *)
 
 let header = "# sic profile v1"
-let header_prefix = "# sic profile"
 
 let to_string (t : t) =
   let buf = Buffer.create 4096 in
@@ -88,69 +86,50 @@ let of_string s : t =
         designs := { d with rows = Array.of_list (List.rev rows) } :: !designs;
         cur := None
   in
-  List.iteri
-    (fun i line ->
-      let lineno = i + 1 in
-      let line = String.trim line in
-      if
-        String.length line >= String.length header_prefix
-        && String.sub line 0 (String.length header_prefix) = header_prefix
-      then begin
-        if line <> header then
-          bad_format lineno "unsupported profile format %S (this reader understands %S)" line
-            header
-      end
-      else if line = "" || line.[0] = '#' then ()
-      else
-        match String.split_on_char ' ' line with
-        | "d" :: rest -> (
-            close ();
-            match rest with
-            | [ design; runs; cycles ] -> (
-                match (int_of_string_opt runs, int_of_string_opt cycles) with
-                | Some runs, Some cycles ->
-                    cur := Some ({ design; runs; cycles; rows = [||] }, [])
-                | _ -> bad_format lineno "bad design line %S" line)
-            | _ -> bad_format lineno "bad design line %S" line)
-        | idx :: hits :: time_ns :: is_root :: op :: root :: loc_words -> (
-            match
-              ( int_of_string_opt idx,
-                int_of_string_opt hits,
-                int_of_string_opt time_ns,
-                is_root )
-            with
-            | Some idx, Some hits, Some time_ns, ("0" | "1") -> (
-                let r =
-                  {
-                    idx;
-                    hits;
-                    time_ns;
-                    is_root = is_root = "1";
-                    op;
-                    root;
-                    loc = (match loc_words with [] -> "-" | ws -> String.concat " " ws);
-                  }
-                in
-                match !cur with
-                | Some (d, rows) -> cur := Some (d, r :: rows)
-                | None -> bad_format lineno "instruction row before any 'd' line")
-            | _ -> bad_format lineno "bad instruction row %S" line)
-        | _ -> bad_format lineno "bad instruction row %S" line)
-    (String.split_on_char '\n' s);
+  ignore
+    (Artifact.lines ~header
+       (fun lineno line ->
+         match String.split_on_char ' ' line with
+         | "d" :: rest -> (
+             close ();
+             match rest with
+             | [ design; runs; cycles ] -> (
+                 match (int_of_string_opt runs, int_of_string_opt cycles) with
+                 | Some runs, Some cycles ->
+                     cur := Some ({ design; runs; cycles; rows = [||] }, [])
+                 | _ -> Artifact.bad_format lineno "bad design line %S" line)
+             | _ -> Artifact.bad_format lineno "bad design line %S" line)
+         | idx :: hits :: time_ns :: is_root :: op :: root :: loc_words -> (
+             match
+               ( int_of_string_opt idx,
+                 int_of_string_opt hits,
+                 int_of_string_opt time_ns,
+                 is_root )
+             with
+             | Some idx, Some hits, Some time_ns, ("0" | "1") -> (
+                 let r =
+                   {
+                     idx;
+                     hits;
+                     time_ns;
+                     is_root = is_root = "1";
+                     op;
+                     root;
+                     loc = (match loc_words with [] -> "-" | ws -> String.concat " " ws);
+                   }
+                 in
+                 match !cur with
+                 | Some (d, rows) -> cur := Some (d, r :: rows)
+                 | None -> Artifact.bad_format lineno "instruction row before any 'd' line")
+             | _ -> Artifact.bad_format lineno "bad instruction row %S" line)
+         | _ -> Artifact.bad_format lineno "bad instruction row %S" line)
+       s);
   close ();
   List.rev !designs
 
-let output oc (t : t) = output_string oc (to_string t)
+let save path (t : t) = Artifact.save path (to_string t)
 
-let save path (t : t) =
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output oc t)
-
-let load path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> of_string (really_input_string ic (in_channel_length ic)))
+let load path = Artifact.load path of_string
 
 (* ------------------------------------------------------------------ *)
 (* Merge                                                                *)

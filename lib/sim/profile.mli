@@ -24,6 +24,7 @@ type design_profile = {
 type t = design_profile list
 
 exception Bad_format of string
+(** {!Sic_obs.Artifact.Bad_format} itself, re-exported. *)
 
 (** {1 Interchange} *)
 
@@ -32,7 +33,6 @@ val of_string : string -> t
 (** Raises {!Bad_format} (with a line number) on malformed input or a
     version this reader does not understand. *)
 
-val output : out_channel -> t -> unit
 val save : string -> t -> unit
 val load : string -> t
 

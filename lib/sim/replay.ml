@@ -50,9 +50,9 @@ let replay (b : Backend.t) (t : trace) =
 (* Text interchange                                                     *)
 (* ------------------------------------------------------------------ *)
 
-exception Bad_format of string
+exception Bad_format = Sic_obs.Artifact.Bad_format
 
-let bad fmt = Printf.ksprintf (fun m -> raise (Bad_format m)) fmt
+let bad = Sic_obs.Artifact.bad_format
 
 let format_header = "# sic replay trace v1"
 
@@ -84,25 +84,26 @@ let of_string (s : string) : trace =
   let lines = String.split_on_char '\n' s in
   match lines with
   | header :: inputs_line :: frames_line :: rest ->
-      if String.trim header <> format_header then
-        bad "line 1: expected %S, got %S" format_header header;
+      if not (Sic_obs.Artifact.is_header ~header:format_header 1 (String.trim header)) then
+        bad 1 "expected %S, got %S" format_header header;
       let input_names =
         match String.split_on_char ' ' (String.trim inputs_line) with
         | "inputs" :: names when names <> [] -> names
-        | _ -> bad "line 2: expected `inputs <name>...'"
+        | _ -> bad 2 "expected `inputs <name>...'"
       in
       let n_frames =
         match String.split_on_char ' ' (String.trim frames_line) with
         | [ "frames"; n ] -> (
             match int_of_string_opt n with
             | Some n when n >= 0 -> n
-            | _ -> bad "line 3: bad frame count %S" n)
-        | _ -> bad "line 3: expected `frames <n>'"
+            | _ -> bad 3 "bad frame count %S" n)
+        | _ -> bad 3 "expected `frames <n>'"
       in
       let width = List.length input_names in
       let frame_lines = Array.of_list rest in
       if Array.length frame_lines < n_frames then
-        bad "truncated trace: %d of %d frames" (Array.length frame_lines) n_frames;
+        bad (4 + Array.length frame_lines) "truncated trace: %d of %d frames"
+          (Array.length frame_lines) n_frames;
       let frames =
         Array.init n_frames (fun f ->
             let cells =
@@ -110,16 +111,16 @@ let of_string (s : string) : trace =
               |> List.filter (fun c -> c <> "")
             in
             if List.length cells <> width then
-              bad "line %d: %d values for %d inputs" (f + 4) (List.length cells) width;
+              bad (f + 4) "%d values for %d inputs" (List.length cells) width;
             Array.of_list
               (List.map
                  (fun c ->
                    try Bv.of_binary_string c
-                   with Invalid_argument _ -> bad "line %d: bad value %S" (f + 4) c)
+                   with Invalid_argument _ -> bad (f + 4) "bad value %S" c)
                  cells))
       in
       { input_names; frames }
-  | _ -> bad "truncated trace header"
+  | _ -> bad (List.length lines) "truncated trace header"
 
 (** Save / load a trace as a VCD file, so recorded workloads are ordinary
     waveform artifacts. *)

@@ -26,7 +26,8 @@ val replay : Backend.t -> trace -> unit
     back over their result pipes, and how witness seeds persist on disk. *)
 
 exception Bad_format of string
-(** The message names the offending line. *)
+(** {!Sic_obs.Artifact.Bad_format} itself, re-exported: the message names
+    the offending line. *)
 
 val format_header : string
 (** First line of the v1 text format, ["# sic replay trace v1"]. *)

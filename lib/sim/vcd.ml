@@ -129,8 +129,4 @@ let read_string (s : string) : wave =
   flush_frame ();
   { signals = List.rev !order; frames = Array.of_list (List.rev !frames) }
 
-let read_file path : wave =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> read_string (really_input_string ic (in_channel_length ic)))
+let read_file path : wave = Sic_obs.Artifact.load path read_string

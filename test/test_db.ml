@@ -86,6 +86,23 @@ let test_versioning () =
      ignore (Db.init dir);
      Alcotest.fail "double init succeeded"
    with Db.Db_error _ -> ());
+  (* a malformed record names its physical line, blank lines included *)
+  List.iter
+    (fun (file, meta) ->
+      let dir = fresh_dir "db_lineno" in
+      ignore (Db.init dir);
+      let oc = open_out (Filename.concat dir file) in
+      output_string oc (meta ^ "\n\n{\"type\":\"bogus\"}\n");
+      close_out oc;
+      match Db.load dir with
+      | _ -> Alcotest.fail (file ^ ": malformed record accepted")
+      | exception Sic_obs.Artifact.Bad_format m ->
+          Alcotest.(check bool) (file ^ ": error names line 3") true
+            (contains ~needle:(file ^ ": line 3:") m))
+    [
+      ("manifest.ndjson", "{\"type\":\"meta\",\"format\":\"sic-db\",\"version\":1}");
+      ("exclusions.ndjson", "{\"type\":\"meta\",\"format\":\"sic-exclusions\",\"version\":1}");
+    ];
   (* a manifest from an incompatible future version is rejected *)
   let dir2 = fresh_dir "db_future" in
   ignore (Db.init dir2);
@@ -96,7 +113,7 @@ let test_versioning () =
   try
     ignore (Db.load dir2);
     Alcotest.fail "future version accepted"
-  with Db.Db_error m ->
+  with Sic_obs.Artifact.Bad_format m ->
     Alcotest.(check bool) "error names the version" true (contains ~needle:"99" m)
 
 let test_diff () =
@@ -149,6 +166,46 @@ let test_rank () =
   Alcotest.(check bool) "report renders" true
     (contains ~needle:"compiled" (Db.render_report db))
 
+(* [Db.aggregate] reads without the lock, so a writer must replace
+   aggregate.cnt atomically: a reader racing [Db.add] sees the old map or
+   the new one, never a truncated prefix that parses as fewer points. *)
+let test_aggregate_read_during_add () =
+  let dir = fresh_dir "db_race" in
+  let db = Db.init dir in
+  let points = List.init 2000 (fun i -> (Printf.sprintf "top.point_%04d" i, i mod 3)) in
+  ignore (add_ok db ~design:"d" ~backend:"compiled" points);
+  match Unix.fork () with
+  | 0 ->
+      let code =
+        try
+          let db = Db.load dir in
+          for seed = 1 to 40 do
+            ignore (add_ok db ~design:"d" ~backend:"compiled" ~seed points)
+          done;
+          0
+        with _ -> 1
+      in
+      Unix._exit code
+  | pid ->
+      let reads = ref 0 in
+      let rec watch () =
+        let agg = Db.aggregate db in
+        incr reads;
+        Alcotest.(check int) "every read holds the full point set" 2000
+          (Counts.total_points agg);
+        match Unix.waitpid [ Unix.WNOHANG ] pid with
+        | 0, _ -> watch ()
+        | _, status -> status
+      in
+      let status = watch () in
+      Alcotest.(check bool) "writer succeeded" true (status = Unix.WEXITED 0);
+      Alcotest.(check bool) "reads overlapped the writes" true (!reads > 1);
+      Alcotest.(check (list string)) "no temporary file survives"
+        [ "aggregate.cnt"; "manifest.ndjson" ]
+        (List.filter
+           (fun f -> not (Filename.check_suffix f ".cnt" && f.[0] = 'r'))
+           (List.sort compare (Array.to_list (Sys.readdir dir))))
+
 let tests =
   [
     Alcotest.test_case "manifest round-trip" `Quick test_round_trip;
@@ -156,4 +213,5 @@ let tests =
     Alcotest.test_case "format versioning" `Quick test_versioning;
     Alcotest.test_case "run diff" `Quick test_diff;
     Alcotest.test_case "greedy rank" `Quick test_rank;
+    Alcotest.test_case "aggregate reads race Db.add safely" `Quick test_aggregate_read_during_add;
   ]

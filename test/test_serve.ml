@@ -153,7 +153,7 @@ let test_e2e_report_is_union_max () =
   Alcotest.(check bool) "etag moved" true (Client.header r3 "etag" <> Some etag)
 
 let test_e2e_endpoints () =
-  with_server @@ fun _dir t ->
+  with_server @@ fun dir t ->
   ignore (push t ~seed:0 (Counts.of_list [ ("a", 1); ("b", 0) ]));
   ignore (push t ~seed:1 (Counts.of_list [ ("a", 2); ("b", 3) ]));
   let ok path =
@@ -186,7 +186,15 @@ let test_e2e_endpoints () =
   Alcotest.(check int) "bad counts body is 400" 400
     (Client.post ~body:"not a counts file" (url t "/runs")).Client.status;
   Alcotest.(check int) "bad method is 405" 405
-    (Client.call ~meth:"PUT" (url t "/report")).Client.status
+    (Client.call ~meth:"PUT" (url t "/report")).Client.status;
+  (* a corrupt file on disk is the server's fault, and the error says where *)
+  let oc = open_out (Filename.concat dir "r0001.cnt") in
+  output_string oc "# sic coverage counts v1\n1 a\nnope b\n";
+  close_out oc;
+  let r = Client.get (url t "/report") in
+  Alcotest.(check int) "corrupt run file is 500" 500 r.Client.status;
+  Alcotest.(check bool) "500 names the file and line" true
+    (contains ~needle:"r0001.cnt: line 3:" r.Client.body)
 
 let test_e2e_keep_alive () =
   with_server @@ fun _dir t ->
