@@ -3,9 +3,9 @@
 set -eu
 cd "$(dirname "$0")"
 
-# Every BENCH_*.json this script writes is a CI artifact and must parse:
-# the writers hand-roll their JSON, so a `%.3f` of nan or a slipped quote
-# would otherwise ship an unreadable artifact unnoticed.
+# Every BENCH_*.json this script writes is a CI artifact and must parse.
+# The writers build a Json.t, but the check reads the file with an
+# independent parser, so a printer bug would not ship unnoticed.
 check_json() { python3 -c 'import json,sys; json.load(open(sys.argv[1]))' "$1"; }
 
 dune build @fmt
@@ -48,6 +48,19 @@ rm -rf ci_close.db
 # (uploaded as a CI artifact) in the same layout as a full run.
 SIC_BENCH_SMOKE=1 dune exec --no-build bench/main.exe -- sim
 check_json BENCH_sim.json
+
+# Fuzz differential: the same seeded campaign on every software backend
+# must print byte-identical results. The harness builds one engine and
+# restores it before each input, so this also checks that every engine's
+# restore returns it exactly to power-on state.
+for backend in compiled interp essent lanes; do
+  dune exec --no-build bin/sic.exe -- fuzz --design riscv-mini --execs 150 \
+    --backend "$backend" > "ci_fuzz_$backend.txt"
+done
+for backend in interp essent lanes; do
+  cmp ci_fuzz_compiled.txt "ci_fuzz_$backend.txt"
+done
+rm -f ci_fuzz_compiled.txt ci_fuzz_interp.txt ci_fuzz_essent.txt ci_fuzz_lanes.txt
 
 # Lane-engine smoke: at --lanes 1 the bit-parallel engine runs lockstep,
 # so its saved counts must be byte-identical to compiled's under the same

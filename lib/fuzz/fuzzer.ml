@@ -23,6 +23,11 @@ type harness = {
   inputs : (string * int) list;  (** data inputs: name, width *)
   bytes_per_cycle : int;
   reset_cycles : int;
+  unpack : (string * int * int) array;
+      (** data inputs in port order: name, bit offset in a cycle's bytes,
+          width *)
+  mutable engine : Sic_sim.Backend.t option;
+      (** built by the first execution, restored before every later one *)
 }
 
 let make_harness ?(create = fun c -> Sic_sim.Compiled.create c) ?(reset_cycles = 1)
@@ -38,32 +43,65 @@ let make_harness ?(create = fun c -> Sic_sim.Compiled.create c) ?(reset_cycles =
         | Circuit.Input | Circuit.Output -> None)
       m.Circuit.ports
   in
-  let total_bits = List.fold_left (fun a (_, w) -> a + w) 0 inputs in
-  { circuit; create; inputs; bytes_per_cycle = max 1 ((total_bits + 7) / 8); reset_cycles }
+  let total_bits, unpack =
+    List.fold_left_map (fun lo (name, w) -> (lo + w, (name, lo, w))) 0 inputs
+  in
+  {
+    circuit;
+    create;
+    inputs;
+    bytes_per_cycle = max 1 ((total_bits + 7) / 8);
+    reset_cycles;
+    unpack = Array.of_list unpack;
+    engine = None;
+  }
+
+(* The engine at power-on: built once per harness, restored after. *)
+let power_on (h : harness) : Sic_sim.Backend.t =
+  match h.engine with
+  | Some b ->
+      b.Sic_sim.Backend.restore ();
+      b
+  | None ->
+      let b = h.create h.circuit in
+      h.engine <- Some b;
+      b
+
+(* Bits [lo, lo + w) of the little-endian bit stream starting at byte
+   [base], LSB first: the int path for inputs of at most 62 bits. *)
+let bits_int input base lo w =
+  let first = base + (lo / 8) and shift = lo mod 8 in
+  let v = ref (Char.code (Bytes.get input first) lsr shift) in
+  for k = 1 to (shift + w - 1) / 8 do
+    v := !v lor (Char.code (Bytes.get input (first + k)) lsl ((8 * k) - shift))
+  done;
+  !v land ((1 lsl w) - 1)
+
+(* The same bits as a vector of any width. *)
+let bits_bv input base lo w =
+  let v = ref (Bv.zero w) in
+  for i = 0 to w - 1 do
+    let bit = lo + i in
+    if (Char.code (Bytes.get input (base + (bit / 8))) lsr (bit mod 8)) land 1 = 1 then
+      v := Bv.logor ~width:w !v (Bv.shift_left ~width:w (Bv.one w) i)
+  done;
+  !v
 
 (** Execute one input, returning the coverage counts it produced. *)
 let execute_input (h : harness) (input : bytes) : Counts.t =
-  let b = h.create h.circuit in
+  let b = power_on h in
   Sic_sim.Backend.reset_sequence ~cycles:h.reset_cycles b;
   let n_cycles = Bytes.length input / h.bytes_per_cycle in
   for cycle = 0 to n_cycles - 1 do
     (* unpack this cycle's bytes into the input ports, LSB first *)
     let base = cycle * h.bytes_per_cycle in
-    let bit_at i =
-      let byte = Char.code (Bytes.get input (base + (i / 8))) in
-      (byte lsr (i mod 8)) land 1 = 1
-    in
-    let offset = ref 0 in
-    List.iter
-      (fun (name, w) ->
-        let v = ref (Bv.zero w) in
-        for i = 0 to w - 1 do
-          if bit_at (!offset + i) then
-            v := Bv.logor ~width:w !v (Bv.shift_left ~width:w (Bv.one w) i)
-        done;
-        offset := !offset + w;
-        b.Sic_sim.Backend.poke name !v)
-      h.inputs;
+    Array.iter
+      (fun (name, lo, w) ->
+        b.Sic_sim.Backend.poke name
+          (if w = 0 then Bv.zero 0
+           else if w <= 62 then Bv.of_int62 ~width:w (bits_int input base lo w)
+           else bits_bv input base lo w))
+      h.unpack;
     b.Sic_sim.Backend.step 1
   done;
   b.Sic_sim.Backend.counts ()
@@ -105,17 +143,15 @@ let input_of_trace (h : harness) (t : Sic_sim.Replay.trace) : bytes =
       Bytes.set out byte
         (Char.chr (Char.code (Bytes.get out byte) lor (1 lsl (i mod 8))))
     in
-    let offset = ref 0 in
-    List.iter
-      (fun (name, w) ->
-        (match idx_of name with
+    Array.iter
+      (fun (name, lo, w) ->
+        match idx_of name with
         | -1 -> ()
         | i ->
             for bit = 0 to w - 1 do
-              if Bv.bit frame.(i) bit then set_bit (!offset + bit)
-            done);
-        offset := !offset + w)
-      h.inputs
+              if Bv.bit frame.(i) bit then set_bit (lo + bit)
+            done)
+      h.unpack
   done;
   out
 
@@ -237,10 +273,20 @@ let mutate (rng : Rng.t) (corpus : bytes array) (src : bytes) : bytes =
 (* Corpus trimming (afl-tmin style)                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* does [smaller]'s signature still include everything in [target]? *)
+(* does [counts]'s signature still include every pair of [target]? Both
+   signatures are sorted by cover name, each name at most once, so one
+   merge walk decides it *)
 let covers_signature target counts =
-  let sig_ = signature counts in
-  List.for_all (fun pair -> List.mem pair sig_) target
+  let rec subset target sig_ =
+    match (target, sig_) with
+    | [], _ -> true
+    | _ :: _, [] -> false
+    | (tn, tb) :: trest, (sn, sb) :: srest ->
+        let c = String.compare tn sn in
+        if c = 0 then tb = sb && subset trest srest
+        else c > 0 && subset target srest
+  in
+  subset target (signature counts)
 
 (** Shrink a testcase while preserving its coverage signature: repeatedly
     drop trailing cycles, then whole chunks from the middle, re-executing

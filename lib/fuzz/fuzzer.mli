@@ -8,22 +8,35 @@
 open Sic_ir
 module Counts = Sic_coverage.Counts
 
-type harness = {
+type harness = private {
   circuit : Circuit.t;  (** instrumented, lowered *)
   create : Circuit.t -> Sic_sim.Backend.t;
   inputs : (string * int) list;  (** data inputs: name, width *)
   bytes_per_cycle : int;
   reset_cycles : int;
+  unpack : (string * int * int) array;
+      (** data inputs in port order: name, bit offset within a cycle's
+          bytes, width *)
+  mutable engine : Sic_sim.Backend.t option;
+      (** the harness's one engine: [None] until the first {!execute}
+          builds it with [create] *)
 }
+(** A harness owns one engine, so it must not be shared between
+    concurrently running threads or domains. *)
 
 val make_harness :
   ?create:(Circuit.t -> Sic_sim.Backend.t) ->
   ?reset_cycles:int ->
   Circuit.t ->
   harness
+(** Builds no engine: that is deferred to the first {!execute}. *)
 
 val execute : harness -> bytes -> Counts.t
-(** Run one input from reset; returns its coverage counts. *)
+(** Run one input from reset; returns its coverage counts. The harness's
+    engine is built by the first call and {!Sic_sim.Backend.t.restore}d to
+    power-on state by every later one, then driven through the reset
+    sequence — a restored engine is indistinguishable from a fresh one,
+    so the counts are those of a newly built engine. *)
 
 val input_of_trace : harness -> Sic_sim.Replay.trace -> bytes
 (** Re-encode a replay trace (e.g. a BMC witness) as the fuzzer input

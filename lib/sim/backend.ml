@@ -22,6 +22,14 @@ type t = {
   counts : unit -> Counts.t;  (** saturating cover counters, by name *)
   cycles : unit -> int;
   finished : unit -> bool;  (** a [stop] statement fired *)
+  restore : unit -> unit;
+      (** return to power-on state, exactly as built: register, memory
+          and input values, cover counters, [cycles () = 0],
+          [finished () = false]. Engines blit a snapshot taken at build
+          time instead of rebuilding, so one engine can run many
+          from-reset executions (the fuzz harness does). An engine
+          profiler's accumulated hit and time counts are not reset: they
+          keep accumulating across restores. *)
 }
 
 exception Sim_error of string
@@ -40,6 +48,14 @@ let print_sink : (string -> unit) ref = Obs.sink
 let count_saturate = max_int
 
 let sat_incr c = if c >= count_saturate then c else c + 1
+
+(** [blit_ints src dst] copies [src] over the prefix of [dst]: the
+    engines' [restore]. A loop typed [int] stores without the write
+    barrier that [Array.blit] pays per element on a major-heap array. *)
+let blit_ints (src : int array) (dst : int array) =
+  for i = 0 to Array.length src - 1 do
+    Array.unsafe_set dst i (Array.unsafe_get src i)
+  done
 
 (** How often (in cycles) an instrumented backend samples its throughput
     gauges when telemetry is on. *)
@@ -87,7 +103,13 @@ let with_telemetry (b : t) : t =
       done
     end
   in
-  { b with step }
+  (* cycles drop back to 0: re-anchor as a fresh wrapper would be *)
+  let restore () =
+    b.restore ();
+    last_cycles := b.cycles ();
+    last_t := nan
+  in
+  { b with step; restore }
 
 (** Wrap a backend so [f ~cycles ~covered] fires every [every] simulated
     cycles — the coverage-convergence sampling hook behind
@@ -116,7 +138,11 @@ let with_sampler ~every f (b : t) : t =
         end
       done
     in
-    { b with step }
+    let restore () =
+      b.restore ();
+      next := b.cycles () + every
+    in
+    { b with step; restore }
   end
 
 (** Hold reset high for [cycles] (default 1) clock edges, then release. *)

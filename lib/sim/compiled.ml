@@ -148,6 +148,7 @@ type wmem = {
   sr_data : int array;  (** sync read ports: data slot (state) *)
   comb_readers : int array;
       (** tape indices of combinational reads, re-dirtied on write *)
+  m_power_on : mem_store;  (** the power-on image, blitted back by [restore] *)
 }
 
 type t = {
@@ -158,6 +159,10 @@ type t = {
   wide : bool array;  (** per slot: width > {!Eval.Int.max_width} *)
   ivals : int array;  (** narrow slots: masked bit patterns *)
   bvals : Bv.t array;  (** wide slots *)
+  ivals0 : int array;  (** [ivals] at power-on (presets applied) *)
+  bvals0 : Bv.t array;
+      (** [bvals] at power-on, deep-copied: W-instructions mutate their
+          destination buffers in place *)
   ins : ins array;
   dsts : int array;  (** per tape index: destination slot *)
   masks : int array;  (** per tape index: mask of the destination width *)
@@ -245,6 +250,9 @@ let build ?(builtin_line = false) ?(activity = false) ?profile (c : Circuit.t) :
               (Array.init m.Tape.m_depth (fun i -> Bv.to_int_trunc m.Tape.m_init.(i)))
           else M_bv (Array.init m.Tape.m_depth (fun i -> m.Tape.m_init.(i)))
         in
+        let m_power_on =
+          match store with M_int d -> M_int (Array.copy d) | M_bv d -> M_bv (Array.copy d)
+        in
         {
           m_width = m.Tape.m_width;
           m_zero = Bv.zero m.Tape.m_width;
@@ -255,6 +263,7 @@ let build ?(builtin_line = false) ?(activity = false) ?profile (c : Circuit.t) :
           sr_addr = m.Tape.sr_addr;
           sr_data = m.Tape.sr_data;
           comb_readers = m.Tape.comb_readers;
+          m_power_on;
         })
       tp.Tape.mems
   in
@@ -482,6 +491,8 @@ let build ?(builtin_line = false) ?(activity = false) ?profile (c : Circuit.t) :
     wide;
     ivals;
     bvals;
+    ivals0 = Array.copy ivals;
+    bvals0 = Array.mapi (fun s v -> if wide.(s) then Bv.copy v else v) bvals;
     ins;
     dsts;
     masks;
@@ -1002,6 +1013,31 @@ let clock_edge (t : t) =
   t.tape_dirty <- true;
   t.cycle <- t.cycle + 1
 
+(* Back to the state [build] returned. Wide slots are rebound to fresh
+   copies rather than blitted: a poked or sync-read slot may hold a
+   caller's or a memory word's object, which must not be mutated. Memory
+   words are never mutated in place (writes store fresh copies), so the
+   images blit shallowly into the arrays the decoded reads captured.
+   Profiler counts keep accumulating. *)
+let restore (t : t) =
+  Backend.blit_ints t.ivals0 t.ivals;
+  for s = 0 to Array.length t.wide - 1 do
+    if t.wide.(s) then t.bvals.(s) <- Bv.copy t.bvals0.(s)
+  done;
+  Array.iter
+    (fun m ->
+      match (m.store, m.m_power_on) with
+      | M_int d, M_int d0 -> Backend.blit_ints d0 d
+      | M_bv d, M_bv d0 -> Array.blit d0 0 d 0 (Array.length d)
+      | (M_int _ | M_bv _), _ -> assert false)
+    t.mems;
+  Array.fill t.counters 0 (Array.length t.counters) 0;
+  Array.iter (fun a -> Array.fill a 0 (Array.length a) 0) t.cv_arr;
+  Array.fill t.dirty 0 (Array.length t.dirty) true;
+  t.tape_dirty <- true;
+  t.cycle <- 0;
+  t.stopped <- false
+
 let to_backend ~name (t : t) : Backend.t =
   (* pre-resolve input name -> slot so a poke costs one hash lookup; with
      tiny tapes (a few dozen instructions) poking dominates the cycle *)
@@ -1084,6 +1120,7 @@ let to_backend ~name (t : t) : Backend.t =
           out);
       cycles = (fun () -> t.cycle);
       finished = (fun () -> t.stopped);
+      restore = (fun () -> restore t);
     }
 
 (** Create the Verilator-analogue backend. With [~builtin_line:true] the

@@ -55,7 +55,8 @@ val profile : t -> Profile.design_profile option
 (** The accumulated profile of a [?profile] build ([None] otherwise).
     Hit counts are value-change counts, identical across the plain and
     activity schedules and across worker splits; timings are present only
-    under {!Sampled}. *)
+    under {!Sampled}. Hit and time counts keep accumulating across
+    {!Backend.t.restore}; the cycle count restarts from 0. *)
 
 val exec_counts : t -> int array
 (** Per-tape-position execution counts of a [?profile] build: the

@@ -220,6 +220,28 @@ let make ~profile (c : Circuit.t) : Backend.t * hit array =
     (fun (name, _, _, w) ->
       Hashtbl.replace s.value_counters name (Array.make (1 lsl min w 20) 0))
     p.Prep.cover_values;
+  (* the power-on state [restore] returns to; memory words are immutable
+     values (writes replace them), so shallow copies suffice *)
+  let regs0 = Hashtbl.copy s.reg_values in
+  let mems0 =
+    List.map (fun (_, ms) -> (ms, Array.copy ms.Prep.data, ms.Prep.latched_addrs)) p.Prep.mems
+  in
+  let restore () =
+    s.reg_values <- Hashtbl.copy regs0;
+    List.iter
+      (fun (ms, data, latched) ->
+        Array.blit data 0 ms.Prep.data 0 (Array.length data);
+        ms.Prep.latched_addrs <- latched)
+      mems0;
+    Hashtbl.reset s.inputs;
+    invalidate s;
+    Hashtbl.filter_map_inplace (fun _ _ -> Some 0) s.counters;
+    Hashtbl.iter (fun _ arr -> Array.fill arr 0 (Array.length arr) 0) s.value_counters;
+    (* hit counts accumulate; the comparison baseline is power-on zero *)
+    Array.iter (fun h -> h.last <- Bv.zero (Bv.width h.last)) hits;
+    s.cycle <- 0;
+    s.stopped <- false
+  in
   let backend =
     Backend.with_telemetry
       {
@@ -255,6 +277,7 @@ let make ~profile (c : Circuit.t) : Backend.t * hit array =
             out);
         cycles = (fun () -> s.cycle);
         finished = (fun () -> s.stopped);
+        restore;
       }
   in
   (backend, hits)

@@ -12,4 +12,5 @@ val create_profiled : Sic_ir.Circuit.t -> Backend.t * (unit -> (string * int) li
     ({!Profile}): per statement — every node and every non-register
     driven sink — the number of clock edges at which its pre-edge value
     differed from the one at the previous edge (zero before the first),
-    sorted by name. *)
+    sorted by name. [restore] sets that previous value back to zero but
+    keeps the counts: they accumulate across restores. *)

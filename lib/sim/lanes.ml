@@ -120,6 +120,7 @@ type lmem = {
   lwp_data : int array;
   lsr_addr : int array;  (** sync read ports: addr slot *)
   lsr_data : int array;  (** sync read ports: data slot (state) *)
+  lm_power_on : lstore;  (** one lane's power-on image, for [restore] *)
 }
 
 type t = {
@@ -137,6 +138,8 @@ type t = {
                        [pv.(0) = 0] and [pv.(1) = lane_mask] forever *)
   sv : int array;  (** strided narrow values: [slot * lanes + lane] *)
   wv : Bv.t array array;  (** wide rows: [wv.(slot).(lane)], rebind-only *)
+  bad_presets : (int * Bv.t) list;
+      (** literal slots in strided or wide storage, re-applied by [restore] *)
   ins : lins array;  (** compacted: aliases don't appear *)
   dsts : int array;  (** per instruction: destination slot ([S*]) or
                          base physical plane ([V*]/[L*]) *)
@@ -249,6 +252,15 @@ let read_lane_bv (t : t) l s =
       b
     end
   end
+
+(* Literal slots in strided or wide storage keep the scalar engine's
+   initialisation: every lane holds the literal. *)
+let apply_presets ~lanes ~widths ~wide sv wv presets =
+  List.iter
+    (fun (s, v) ->
+      if wide.(s) then Array.fill wv.(s) 0 lanes (Bv.extend_u v widths.(s))
+      else Array.fill sv (s * lanes) lanes (Bv.to_int_trunc v land Eval.Int.mask widths.(s)))
+    presets
 
 let build ?(builtin_line = false) ?(lanes = 62) (c : Circuit.t) : t =
   let lanes = max 1 (min 62 lanes) in
@@ -373,24 +385,8 @@ let build ?(builtin_line = false) ?(lanes = 62) (c : Circuit.t) : t =
         assign s (Array.init w (fun j -> base + j))
       end)
     widths;
-  (* bad-slot presets keep the scalar engine's initialisation *)
-  List.iter
-    (fun (s, v) ->
-      if bad.(s) then begin
-        if wide.(s) then begin
-          let bv = Bv.extend_u v widths.(s) in
-          for l = 0 to lanes - 1 do
-            wv.(s).(l) <- bv
-          done
-        end
-        else begin
-          let vi = Bv.to_int_trunc v land Eval.Int.mask widths.(s) in
-          for l = 0 to lanes - 1 do
-            sv.((s * lanes) + l) <- vi
-          done
-        end
-      end)
-    tp.Tape.presets;
+  let bad_presets = List.filter (fun (s, _) -> bad.(s)) tp.Tape.presets in
+  apply_presets ~lanes ~widths ~wide sv wv bad_presets;
   (* per-lane memory images, each lane starting from the power-on data *)
   let mems =
     Array.map
@@ -403,6 +399,11 @@ let build ?(builtin_line = false) ?(lanes = 62) (c : Circuit.t) : t =
                        Bv.to_int_trunc m.Tape.m_init.(i))))
           else LM_bv (Array.init lanes (fun _ -> Array.copy m.Tape.m_init))
         in
+        let lm_power_on =
+          match store with
+          | LM_int d -> LM_int [| Array.copy d.(0) |]
+          | LM_bv d -> LM_bv [| Array.copy d.(0) |]
+        in
         {
           lm_zero = Bv.zero m.Tape.m_width;
           lstore = store;
@@ -411,6 +412,7 @@ let build ?(builtin_line = false) ?(lanes = 62) (c : Circuit.t) : t =
           lwp_data = m.Tape.wp_data;
           lsr_addr = m.Tape.sr_addr;
           lsr_data = m.Tape.sr_data;
+          lm_power_on;
         })
       tp.Tape.mems
   in
@@ -766,6 +768,7 @@ let build ?(builtin_line = false) ?(lanes = 62) (c : Circuit.t) : t =
     pv;
     sv;
     wv;
+    bad_presets;
     ins = Array.of_list (List.map (fun (i, _, _) -> i) ins_l);
     dsts = Array.of_list (List.map (fun (_, d, _) -> d) ins_l);
     masks = Array.of_list (List.map (fun (_, _, m) -> m) ins_l);
@@ -1520,6 +1523,33 @@ let run_random (t : t) ~(streams : (unit -> int) array) ~cycles =
     clock_edge t
   done
 
+(* Every lane back to the state [build] returned: all planes zero but
+   the constant-ones plane, strided and wide storage zero but the
+   presets. Memory words are never mutated in place, so the images blit
+   shallowly; every array keeps its identity because decoded
+   instructions captured them. *)
+let restore (t : t) =
+  Array.fill t.pv 0 (Array.length t.pv) 0;
+  t.pv.(1) <- t.lane_mask;
+  Array.fill t.sv 0 (Array.length t.sv) 0;
+  Array.iteri
+    (fun s row -> if t.wide.(s) then Array.fill row 0 t.lanes (Bv.zero t.widths.(s)))
+    t.wv;
+  apply_presets ~lanes:t.lanes ~widths:t.widths ~wide:t.wide t.sv t.wv t.bad_presets;
+  Array.iter
+    (fun m ->
+      match (m.lstore, m.lm_power_on) with
+      | LM_int rows, LM_int [| d0 |] -> Array.iter (Backend.blit_ints d0) rows
+      | LM_bv rows, LM_bv [| d0 |] ->
+          Array.iter (fun d -> Array.blit d0 0 d 0 (Array.length d)) rows
+      | (LM_int _ | LM_bv _), _ -> assert false)
+    t.mems;
+  Array.fill t.counters 0 (Array.length t.counters) 0;
+  Array.iter (Array.iter (fun a -> Array.fill a 0 (Array.length a) 0)) t.cv_arr;
+  t.tape_dirty <- true;
+  t.cycle <- 0;
+  t.stopped_mask <- 0
+
 let to_backend ~name (t : t) : Backend.t =
   Backend.with_telemetry
     {
@@ -1540,6 +1570,7 @@ let to_backend ~name (t : t) : Backend.t =
       counts = (fun () -> lane_counts t 0);
       cycles = (fun () -> t.cycle);
       finished = (fun () -> t.stopped_mask land t.lane_mask = t.lane_mask);
+      restore = (fun () -> restore t);
     }
 
 let create ?builtin_line ?lanes (c : Circuit.t) : Backend.t =

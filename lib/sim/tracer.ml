@@ -72,6 +72,7 @@ let attach ?(regs = false) ~path (b : Backend.t) : Backend.t * (unit -> unit) =
             sample ();
             b.Backend.step 1
           done);
+      restore = (fun () -> Backend.error "restore: a VCD trace cannot rewind");
     }
   in
   (traced, close)

@@ -7,13 +7,62 @@ let i2c_line_harness () =
   let c, db = Sic_coverage.Line_coverage.instrument (Sic_designs.I2c.circuit ()) in
   (F.make_harness (Sic_passes.Compile.lower c), db)
 
+(* digests of a run's corpus bytes (each input length-prefixed) and of its
+   cumulative counts in the on-disk format *)
+let corpus_digest (r : F.result) =
+  Digest.to_hex
+    (Digest.string
+       (String.concat ""
+          (List.map (fun b -> Printf.sprintf "%d:%s" (Bytes.length b) (Bytes.to_string b)) r.F.corpus)))
+
+let counts_digest (r : F.result) =
+  Digest.to_hex (Digest.string (Counts.to_string r.F.final.F.cumulative))
+
+let history_equal (a : F.result) (b : F.result) =
+  List.equal (fun (ea, ca) (eb, cb) -> ea = eb && Counts.equal ca cb) a.F.history b.F.history
+
+(* Two runs on one harness: the second executes on an engine restored
+   after the first, and must still reproduce it byte for byte. *)
 let test_deterministic () =
   let h, _ = i2c_line_harness () in
   let r1 = F.run ~seed:42 ~execs:60 h in
   let r2 = F.run ~seed:42 ~execs:60 h in
   Alcotest.(check int) "same corpus size" r1.F.final.F.corpus_size r2.F.final.F.corpus_size;
+  Alcotest.(check (list bytes)) "same corpus bytes" r1.F.corpus r2.F.corpus;
   Alcotest.(check bool) "same cumulative counts" true
-    (Counts.equal r1.F.final.F.cumulative r2.F.final.F.cumulative)
+    (Counts.equal r1.F.final.F.cumulative r2.F.final.F.cumulative);
+  Alcotest.(check bool) "same history" true (history_equal r1 r2)
+
+(* The fuzzer's output for fixed seeds, pinned as digests: a change to the
+   harness (engine reuse, input unpacking) must not move a single byte. *)
+let test_pinned_outputs () =
+  let check name r (corpus, counts) =
+    Alcotest.(check string) (name ^ " corpus") corpus (corpus_digest r);
+    Alcotest.(check string) (name ^ " counts") counts (counts_digest r)
+  in
+  let h, _ = i2c_line_harness () in
+  List.iter
+    (fun (seed, expected) -> check (Printf.sprintf "i2c seed %d" seed) (F.run ~seed ~execs:60 h) expected)
+    [
+      (1, ("614d40c4d1bd0c17cd1fd6c58b2da6fb", "a6754e36d764bace801f2e08b31933ca"));
+      (2, ("5f0594352e5697027b38ac38f9f111e7", "22c7fdbbf5cfb9ad024be9d4c7d8070a"));
+      (3, ("e89781df169c2f555651b33457823193", "6f66d5ae610cd265576df11b9f3f493b"));
+    ];
+  let rv =
+    F.make_harness
+      (Sic_passes.Compile.lower
+         (fst (Sic_coverage.Line_coverage.instrument (Sic_designs.Riscv_mini.circuit ()))))
+  in
+  List.iter
+    (fun (seed, expected) ->
+      check
+        (Printf.sprintf "riscv-mini seed %d" seed)
+        (F.run ~seed ~execs:40 ~seed_cycles:32 ~max_cycles:128 rv)
+        expected)
+    [
+      (1, ("6b2f3ef5f6fe969fa2a28bc8b590d92d", "6be6497dd6a6e9b1f0074e0e949ab633"));
+      (2, ("8c9ba02489b58787607d294a3d056f8b", "6d3ac619538a09b67afa7789b683f030"));
+    ]
 
 let test_coverage_grows () =
   let h, db = i2c_line_harness () in
@@ -85,6 +134,7 @@ let tests =
   [
     Alcotest.test_case "corpus trimming" `Quick test_trim;
     Alcotest.test_case "deterministic from seed" `Quick test_deterministic;
+    Alcotest.test_case "pinned outputs" `Quick test_pinned_outputs;
     Alcotest.test_case "coverage grows" `Quick test_coverage_grows;
     Alcotest.test_case "feedback metric pluggable" `Quick test_feedback_is_pluggable;
     QCheck_alcotest.to_alcotest test_mutator_bounds;

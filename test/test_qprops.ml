@@ -305,6 +305,107 @@ let random_circuit_differential =
           let o3, c3 = run Essent.create in
           String.equal o1 o2 && String.equal o2 o3 && Counts.equal c1 c2 && Counts.equal c2 c3)
 
+(* --- restore: back to power-on, exactly --------------------------------- *)
+
+(* Random stimulus with no reset: every port is peeked before each edge,
+   so stale registers, memories or inputs left by an earlier run show up
+   in the observations, and the counts, cycles and stop flag close it. *)
+let observe_run (b : Backend.t) ~seed ~cycles =
+  let bits = Sic_fuzz.Rng.bits30 (Sic_fuzz.Rng.create seed) in
+  let ports = (Circuit.main b.Backend.circuit).Circuit.ports in
+  let obs = Buffer.create 256 in
+  for _ = 1 to cycles do
+    List.iter
+      (fun (p : Circuit.port) ->
+        Buffer.add_string obs (Bv.to_hex_string (b.Backend.peek p.Circuit.port_name));
+        Buffer.add_char obs ' ')
+      ports;
+    Buffer.add_char obs (if b.Backend.finished () then '!' else '.');
+    Backend.random_stimulus ~bits ~cycles:1 b
+  done;
+  List.iter
+    (fun (p : Circuit.port) ->
+      Buffer.add_string obs (Bv.to_hex_string (b.Backend.peek p.Circuit.port_name)))
+    ports;
+  (Buffer.contents obs, b.Backend.counts (), b.Backend.cycles (), b.Backend.finished ())
+
+(* run A, restore, run B on one engine = run B alone on a fresh engine *)
+let restore_matches_fresh low ~seed_a ~seed_b ~cycles =
+  List.for_all
+    (fun (_, create) ->
+      let b = create low in
+      ignore (observe_run b ~seed:seed_a ~cycles);
+      b.Backend.restore ();
+      let o1, c1, n1, f1 = observe_run b ~seed:seed_b ~cycles in
+      let o2, c2, n2, f2 = observe_run (create low) ~seed:seed_b ~cycles in
+      String.equal o1 o2 && Counts.equal c1 c2 && n1 = n2 && f1 = f2)
+    Helpers.backends
+
+let restore_exactness =
+  QCheck.Test.make ~count:40 ~name:"random circuits: a restored engine equals a fresh one"
+    (QCheck.pair
+       (QCheck.make ~print:(fun c -> Printer.circuit_to_string c) gen_random_circuit)
+       QCheck.(pair small_nat small_nat))
+    (fun (c, (seed_a, seed_b)) ->
+      match lower c with
+      | exception _ -> QCheck.assume_fail ()
+      | low -> restore_matches_fresh low ~seed_a ~seed_b:(seed_b + 1000) ~cycles:20)
+
+(* The state random circuits lack: memories with a power-on image (one
+   combinational, one sync-read with its latched address), a register
+   wider than 62 bits, a register without reset, a cover-values point and
+   a stop. *)
+let restore_directed () =
+  let cb = Dsl.create_circuit "Restore" in
+  Dsl.module_ cb "Restore" (fun m ->
+      let open Dsl in
+      let addr = input m "addr" (Ty.UInt 3) in
+      let wdata = input m "wdata" (Ty.UInt 8) in
+      let we = input m "we" (Ty.UInt 1) in
+      let salt = input m "salt" (Ty.UInt 40) in
+      let comb = mem m "comb" (Ty.UInt 8) ~depth:8 ~readers:[ "r" ] ~writers:[ "w" ] in
+      let sync = mem ~sync_read:true m "sync" (Ty.UInt 8) ~depth:8 ~readers:[ "r" ] ~writers:[ "w" ] in
+      when_ m we (fun () ->
+          mem_write comb "w" ~addr ~data:wdata;
+          mem_write sync "w" ~addr ~data:(wdata ^: lit 8 0xff));
+      let rd = mem_read comb "r" addr and srd = mem_read sync "r" addr in
+      let wide = reg_init m "wide" (lit 100 0) in
+      connect m wide (resize (cat_s (wide ^: resize salt 100) (rd ^: srd)) 100);
+      let nores = reg_ m "nores" (Ty.UInt 8) in
+      connect m nores (resize (nores +: rd) 8);
+      connect m (output m "rd" (Ty.UInt 8)) rd;
+      connect m (output m "srd" (Ty.UInt 8)) srd;
+      connect m (output m "wide_out" (Ty.UInt 100)) wide;
+      connect m (output m "nores_out" (Ty.UInt 8)) nores;
+      cover_values m "cv_rd" (bits_s rd ~hi:2 ~lo:0);
+      cover m "init_seen" (rd ==: lit 8 0x5a);
+      stop m "halt" (andr_s addr &: we) 0);
+  let with_init (s : Stmt.t) =
+    match s with
+    | Stmt.Mem { mem; info } ->
+        let init = Array.init 8 (fun i -> Bv.of_int ~width:8 ((i * 37) + 0x5a)) in
+        Stmt.Mem { mem = { mem with Stmt.mem_init = Some init }; info }
+    | s -> s
+  in
+  let c = Dsl.finalize cb in
+  let c =
+    {
+      c with
+      Circuit.modules =
+        List.map
+          (fun (md : Circuit.modul) -> { md with Circuit.body = List.map with_init md.Circuit.body })
+          c.Circuit.modules;
+    }
+  in
+  let low = lower c in
+  List.iter
+    (fun (seed_a, seed_b) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "seeds %d/%d: restored = fresh on every backend" seed_a seed_b)
+        true
+        (restore_matches_fresh low ~seed_a ~seed_b ~cycles:40))
+    [ (1, 2); (3, 4); (5, 5) ]
+
 (* --- lane engine: per-lane counts vs solo scalar runs ------------------- *)
 
 (* A width-parametrized design exercising every lane storage class at the
@@ -556,6 +657,9 @@ let tests =
     QCheck_alcotest.to_alcotest serv_model_test;
     QCheck_alcotest.to_alcotest memsys_model_test;
     QCheck_alcotest.to_alcotest random_circuit_differential;
+    QCheck_alcotest.to_alcotest restore_exactness;
+    Alcotest.test_case "restore: memories, wide and unreset registers, cover-values" `Quick
+      restore_directed;
     QCheck_alcotest.to_alcotest lanes_per_lane_differential;
     QCheck_alcotest.to_alcotest random_circuit_roundtrip;
   ]

@@ -135,6 +135,42 @@ let test_tracer () =
   (* the close-time sample is the only one that sees the last step *)
   Alcotest.(check int) "final sample shows the post-run state" 10 (v 11)
 
+(* Wrappers anchored on the cycle count follow it back to 0 on restore:
+   a sampled engine run, restored and run again fires exactly where a
+   fresh one does; a VCD tracer cannot rewind and says so. *)
+let test_wrappers_restore () =
+  let low = lower (Sic_designs.Counter.circuit ~width:4 ~limit:15 ()) in
+  let sampled () =
+    let fired = ref [] in
+    let b =
+      Backend.with_sampler ~every:7
+        (fun ~cycles ~covered -> fired := (cycles, covered) :: !fired)
+        (Compiled.create low)
+    in
+    (b, fired)
+  in
+  let run (b : Backend.t) =
+    Backend.reset_sequence b;
+    b.Backend.poke "en" (Bv.one 1);
+    b.Backend.step 30
+  in
+  let fresh, fresh_fired = sampled () in
+  run fresh;
+  let reused, reused_fired = sampled () in
+  run reused;
+  reused.Backend.restore ();
+  reused_fired := [];
+  run reused;
+  Alcotest.(check (list (pair int int))) "same sample points as a fresh engine"
+    !fresh_fired !reused_fired;
+  let path = Filename.temp_file "sic_trace" ".vcd" in
+  let traced, close = Tracer.attach ~path (Compiled.create low) in
+  (match traced.Backend.restore () with
+  | exception Backend.Sim_error _ -> ()
+  | () -> Alcotest.fail "restoring a traced engine must fail");
+  close ();
+  Sys.remove path
+
 let test_poke_errors () =
   let b = Compiled.create (lower (gcd_circuit ())) in
   (match b.Backend.poke "io_out_bits" (Bv.zero 16) with
@@ -346,6 +382,8 @@ let tests =
       test_cross_backend_equivalence;
     Alcotest.test_case "vcd write/read round-trip" `Quick test_vcd_roundtrip;
     Alcotest.test_case "vcd tracer wrapper" `Quick test_tracer;
+    Alcotest.test_case "sampler survives restore, tracer refuses it" `Quick
+      test_wrappers_restore;
     Alcotest.test_case "record/replay identical counts" `Quick test_record_replay;
     Alcotest.test_case "poke/peek errors" `Quick test_poke_errors;
     Alcotest.test_case "peek of an unknown signal raises Sim_error on every backend" `Quick
