@@ -49,6 +49,8 @@ let merge (ts : t list) : t =
   List.iter (fun t -> Hashtbl.iter (fun k v -> add out k v) t) ts;
   out
 
+let merge_into (acc : t) (t : t) = Hashtbl.iter (fun k v -> add acc k v) t
+
 (** Pointwise maximum. Unlike {!merge} this is idempotent, so it is the
     right combinator when the same run's counts may be delivered more than
     once (worker retries, at-least-once collection in [Sic_fleet]). *)

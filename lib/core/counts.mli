@@ -33,6 +33,9 @@ val merge : t list -> t
     parallel, out-of-order merging is sound) but {e not} idempotent:
     merging the same run twice double-counts. *)
 
+val merge_into : t -> t -> unit
+(** [merge_into acc t] adds [t] into [acc] in place, as {!merge} would. *)
+
 val union_max : t list -> t
 (** Pointwise maximum. Commutative, associative {e and} idempotent — safe
     under at-least-once delivery (e.g. a retried worker reporting the same

@@ -39,15 +39,26 @@ let trace_of_model (u : Unroll.t) ~(upto : int) : Sic_sim.Replay.trace =
   in
   { Sic_sim.Replay.input_names; frames }
 
+(** Unroll for [covers] (their cone of influence; everything when
+    [None]), traced as a [bmc.unroll] span that records the CNF's size. *)
+let unroll ?covers ?free_init ~reset_cycles circuit ~bound =
+  let span = Obs.span_open () in
+  let u = Unroll.unroll ?covers ?free_init ~reset_cycles circuit ~bound in
+  let solver = u.Unroll.ctx.Gate.solver in
+  Obs.span_close span ~name:"bmc.unroll"
+    [
+      ("depth", Obs.Int bound);
+      ("vars", Obs.Int (Sat.nb_vars solver));
+      ("clauses", Obs.Int (Sat.nb_clauses solver));
+      ("regs_in_cone", Obs.Int u.Unroll.regs_in_cone);
+    ];
+  u
+
 (** Check reachability of each cover statement within [bound] cycles.
     [covers] restricts the search to a subset of cover names (default:
-    all). *)
+    all), and the encoding to their cone of influence. *)
 let check_covers ?(bound = 40) ?covers ?(reset_cycles = 1) (circuit : Circuit.t) : report =
-  let u =
-    Obs.span "bmc.unroll"
-      ~args:[ ("depth", Obs.Int bound) ]
-      (fun () -> Unroll.unroll ~reset_cycles circuit ~bound)
-  in
+  let u = unroll ?covers ~reset_cycles circuit ~bound in
   let selected =
     match covers with
     | None -> List.map fst u.Unroll.cover_lits
@@ -126,7 +137,7 @@ let prove_unreachable ?(k = 4) ?covers ?(reset_cycles = 1) (circuit : Circuit.t)
   (* base case: plain BMC from the power-on state *)
   let base = check_covers ~bound:(k + 1) ?covers ~reset_cycles circuit in
   (* inductive step: arbitrary start state, reset held low throughout *)
-  let ind = Unroll.unroll ~reset_cycles:0 ~free_init:true circuit ~bound:(k + 1) in
+  let ind = unroll ?covers ~free_init:true ~reset_cycles:0 circuit ~bound:(k + 1) in
   List.map
     (fun (name, verdict) ->
       match verdict with

@@ -18,7 +18,14 @@ val check_covers :
 (** Default bound 40 (the paper's riscv-mini experiment); [covers]
     restricts the targets; reset is constrained high for the first
     [reset_cycles] (default 1) and low after, matching the test-bench
-    convention. *)
+    convention.
+
+    With [covers], only their cone of influence is encoded: the registers,
+    memories and inputs their predicates depend on, through any number of
+    cycles. Verdicts are those of the whole circuit; a witness gives every
+    input outside the cone the value 0. Without [covers] the whole circuit
+    is encoded. The [bmc.unroll] span records the encoding's [vars],
+    [clauses] and [regs_in_cone]. *)
 
 val unreachable : report -> string list
 val reachable : report -> (string * Sic_sim.Replay.trace) list
@@ -38,5 +45,7 @@ type induction_verdict =
 val prove_unreachable :
   ?k:int -> ?covers:string list -> ?reset_cycles:int -> Sic_ir.Circuit.t ->
   (string * induction_verdict) list
+(** Both the base case and the inductive step encode only the cone of
+    influence of [covers] (when given). *)
 
 val render_induction : (string * induction_verdict) list -> string

@@ -2,7 +2,7 @@
    (+v / -v); internally a literal [l] is indexed as [2v] (positive) or
    [2v+1] (negative) for the watch lists. *)
 
-type clause = { lits : int array; mutable lbd : int }
+type clause = { lits : int array }
 
 type t = {
   mutable nvars : int;
@@ -17,7 +17,9 @@ type t = {
   mutable watches : clause list array;  (* lit index -> watching clauses *)
   mutable trail : int array;
   mutable trail_size : int;
-  mutable trail_lim : int list;  (* decision-level boundaries, most recent first *)
+  mutable trail_lim : int array;  (* level l+1 starts at trail.(trail_lim.(l)) *)
+  mutable dlevel : int;  (* current decision level = live length of [trail_lim] *)
+  mutable seen : bool array;  (* [analyze] scratch, all false between calls *)
   mutable qhead : int;
   mutable var_inc : float;
   mutable ok : bool;  (* false once the empty clause was derived *)
@@ -42,7 +44,9 @@ let create () =
     watches = Array.make 32 [];
     trail = Array.make 16 0;
     trail_size = 0;
-    trail_lim = [];
+    trail_lim = Array.make 16 0;
+    dlevel = 0;
+    seen = Array.make 16 false;
     qhead = 0;
     var_inc = 1.0;
     ok = true;
@@ -54,6 +58,7 @@ let create () =
   }
 
 let nb_vars s = s.nvars
+let nb_clauses s = List.length s.original
 
 let lit_index l = if l > 0 then 2 * l else (2 * -l) + 1
 
@@ -96,7 +101,6 @@ let rec heap_down s i =
 
 let heap_insert s v =
   if s.heap_pos.(v) = -1 then begin
-    s.heap <- grow_array s.heap (s.heap_size + 1) 0;
     s.heap.(s.heap_size) <- v;
     s.heap_pos.(v) <- s.heap_size;
     s.heap_size <- s.heap_size + 1;
@@ -116,17 +120,26 @@ let heap_pop s =
 
 (* --- variables ----------------------------------------------------- *)
 
+(* Every per-variable array has the same capacity (the watch lists twice
+   it), so one check grows them all. The heap, the trail and the level
+   boundaries never hold more than one entry per variable. *)
 let new_var s =
   s.nvars <- s.nvars + 1;
   let v = s.nvars in
-  s.assign <- grow_array s.assign (v + 1) 0;
-  s.level <- grow_array s.level (v + 1) 0;
-  s.reason <- grow_array s.reason (v + 1) None;
-  s.activity <- grow_array s.activity (v + 1) 0.0;
-  s.phase <- grow_array s.phase (v + 1) false;
-  s.heap_pos <- grow_array s.heap_pos (v + 1) (-1);
-  s.watches <- grow_array s.watches ((2 * v) + 2) [];
-  s.trail <- grow_array s.trail (v + 1) 0;
+  if v >= Array.length s.assign then begin
+    let n = 2 * Array.length s.assign in
+    s.assign <- grow_array s.assign n 0;
+    s.level <- grow_array s.level n 0;
+    s.reason <- grow_array s.reason n None;
+    s.activity <- grow_array s.activity n 0.0;
+    s.phase <- grow_array s.phase n false;
+    s.heap <- grow_array s.heap n 0;
+    s.heap_pos <- grow_array s.heap_pos n (-1);
+    s.trail <- grow_array s.trail n 0;
+    s.trail_lim <- grow_array s.trail_lim n 0;
+    s.seen <- grow_array s.seen n false;
+    s.watches <- grow_array s.watches (2 * n) []
+  end;
   heap_insert s v;
   v
 
@@ -134,7 +147,9 @@ let lit_value s l =
   let a = s.assign.(abs l) in
   if a = 0 then 0 else if (l > 0) = (a > 0) then 1 else -1
 
-let decision_level s = List.length s.trail_lim
+let new_level s =
+  s.trail_lim.(s.dlevel) <- s.trail_size;
+  s.dlevel <- s.dlevel + 1
 
 let bump s v =
   s.activity.(v) <- s.activity.(v) +. s.var_inc;
@@ -151,32 +166,25 @@ let bump s v =
 let enqueue s l reason =
   let v = abs l in
   s.assign.(v) <- (if l > 0 then 1 else -1);
-  s.level.(v) <- decision_level s;
+  s.level.(v) <- s.dlevel;
   s.reason.(v) <- reason;
   s.phase.(v) <- l > 0;
   s.trail.(s.trail_size) <- l;
   s.trail_size <- s.trail_size + 1
 
 let backtrack s lvl =
-  let bound =
-    let rec nth lim n = match (lim, n) with
-      | l :: _, 0 -> l
-      | _ :: rest, n -> nth rest (n - 1)
-      | [], _ -> 0
-    in
-    if lvl >= decision_level s then s.trail_size
-    else nth s.trail_lim (decision_level s - lvl - 1)
-  in
-  for i = bound to s.trail_size - 1 do
-    let v = abs s.trail.(i) in
-    s.assign.(v) <- 0;
-    s.reason.(v) <- None;
-    heap_insert s v
-  done;
-  s.trail_size <- bound;
-  s.qhead <- min s.qhead bound;
-  let rec drop lim n = if n = 0 then lim else match lim with [] -> [] | _ :: r -> drop r (n - 1) in
-  s.trail_lim <- drop s.trail_lim (decision_level s - lvl)
+  if lvl < s.dlevel then begin
+    let bound = s.trail_lim.(lvl) in
+    for i = bound to s.trail_size - 1 do
+      let v = abs s.trail.(i) in
+      s.assign.(v) <- 0;
+      s.reason.(v) <- None;
+      heap_insert s v
+    done;
+    s.trail_size <- bound;
+    s.qhead <- min s.qhead bound;
+    s.dlevel <- lvl
+  end
 
 (* --- propagation --------------------------------------------------- *)
 
@@ -226,7 +234,7 @@ let propagate s : clause option =
                   if lit_value s c.lits.(0) = -1 then begin
                     (* conflict: restore remaining watchers *)
                     List.iter (fun c' -> rekeep := c' :: !rekeep) rest;
-                    s.watches.(idx) <- !rekeep @ s.watches.(idx);
+                    s.watches.(idx) <- !rekeep;
                     s.qhead <- s.trail_size;
                     raise (Conflict c)
                   end
@@ -236,7 +244,9 @@ let propagate s : clause option =
                   end)
       in
       process watching;
-      s.watches.(idx) <- !rekeep @ s.watches.(idx)
+      (* the slot is still empty: a clause's new watch is never the
+         falsified literal, so nothing was pushed onto it meanwhile *)
+      s.watches.(idx) <- !rekeep
     done;
     None
   with Conflict c -> Some c
@@ -247,53 +257,68 @@ let attach s c =
   s.watches.(lit_index c.lits.(0)) <- c :: s.watches.(lit_index c.lits.(0));
   s.watches.(lit_index c.lits.(1)) <- c :: s.watches.(lit_index c.lits.(1))
 
+let root_value s l = if s.level.(abs l) = 0 then lit_value s l else 0
+
+(* [lits] is sorted, duplicate-free and not a tautology *)
+let add_normalized s lits =
+  if not (Array.exists (fun l -> root_value s l = 1) lits) then begin
+    let lits =
+      if Array.exists (fun l -> root_value s l = -1) lits then
+        Array.of_list (List.filter (fun l -> root_value s l <> -1) (Array.to_list lits))
+      else lits
+    in
+    match lits with
+    | [||] -> s.ok <- false
+    | [| l |] ->
+        s.root_units <- l :: s.root_units;
+        if s.dlevel = 0 then begin
+          match lit_value s l with
+          | 0 ->
+              enqueue s l None;
+              if propagate s <> None then s.ok <- false
+          | -1 -> s.ok <- false
+          | _ -> ()
+        end
+    | _ -> attach s { lits }
+  end
+
+(* Normalize a clause: sort, drop duplicates, and report tautologies as
+   [None]. Two- and three-literal clauses (nearly every Tseitin clause)
+   take a direct path; the result is the same either way. *)
+let normalize = function
+  | [ a; b ] ->
+      if a = -b then None
+      else if a = b then Some [| a |]
+      else if a < b then Some [| a; b |]
+      else Some [| b; a |]
+  | [ a; b; c ] ->
+      let a, b = if a <= b then (a, b) else (b, a) in
+      let a, b, c = if b <= c then (a, b, c) else if a <= c then (a, c, b) else (c, a, b) in
+      if a = -b || a = -c || b = -c then None
+      else if a = b then Some (if b = c then [| a |] else [| a; c |])
+      else if b = c then Some [| a; b |]
+      else Some [| a; b; c |]
+  | lits ->
+      let lits = List.sort_uniq compare lits in
+      if List.exists (fun l -> List.mem (-l) lits) lits then None else Some (Array.of_list lits)
+
 let add_clause s lits =
   if s.ok then begin
     s.original <- lits :: s.original;
-    (* simplify: drop duplicates and false-at-root literals, detect taut *)
-    let lits = List.sort_uniq compare lits in
-    let taut = List.exists (fun l -> List.mem (-l) lits) lits in
-    if not taut then begin
-      let lits =
-        List.filter
-          (fun l -> not (lit_value s l = -1 && s.level.(abs l) = 0))
-          lits
-      in
-      let sat_at_root =
-        List.exists (fun l -> lit_value s l = 1 && s.level.(abs l) = 0) lits
-      in
-      if not sat_at_root then
-        match lits with
-        | [] -> s.ok <- false
-        | [ l ] ->
-            s.root_units <- l :: s.root_units;
-            if decision_level s = 0 then begin
-              match lit_value s l with
-              | 0 ->
-                  enqueue s l None;
-                  if propagate s <> None then s.ok <- false
-              | -1 -> s.ok <- false
-              | _ -> ()
-            end
-        | l0 :: l1 :: _ ->
-            ignore l0;
-            ignore l1;
-            let c = { lits = Array.of_list lits; lbd = 0 } in
-            attach s c
-    end
+    match normalize lits with Some lits -> add_normalized s lits | None -> ()
   end
 
 (* --- conflict analysis (first UIP) --------------------------------- *)
 
 let analyze s (confl : clause) : int list * int =
-  let seen = Hashtbl.create 64 in
+  let seen = s.seen in
   let learnt = ref [] in
   let counter = ref 0 in
   let p = ref 0 in
   (* 0 = "take all of confl" *)
   let confl = ref (Some confl) in
   let trail_i = ref (s.trail_size - 1) in
-  let dl = decision_level s in
+  let dl = s.dlevel in
   let continue_ = ref true in
   while !continue_ do
     (match !confl with
@@ -301,8 +326,8 @@ let analyze s (confl : clause) : int list * int =
         Array.iter
           (fun q ->
             let v = abs q in
-            if q <> !p && not (Hashtbl.mem seen v) && s.level.(v) > 0 then begin
-              Hashtbl.replace seen v ();
+            if q <> !p && (not seen.(v)) && s.level.(v) > 0 then begin
+              seen.(v) <- true;
               bump s v;
               if s.level.(v) >= dl then incr counter
               else learnt := q :: !learnt
@@ -310,18 +335,21 @@ let analyze s (confl : clause) : int list * int =
           c.lits
     | None -> ());
     (* pick next literal from the trail *)
-    while not (Hashtbl.mem seen (abs s.trail.(!trail_i))) do
+    while not seen.(abs s.trail.(!trail_i)) do
       decr trail_i
     done;
     let q = s.trail.(!trail_i) in
     let v = abs q in
-    Hashtbl.remove seen v;
+    seen.(v) <- false;
     decr trail_i;
     decr counter;
     p := q;
     confl := s.reason.(v);
     if !counter <= 0 then continue_ := false
   done;
+  (* every current-level variable was unmarked as it was resolved; the
+     lower-level ones are exactly the rest of the learnt clause *)
+  List.iter (fun q -> seen.(abs q) <- false) !learnt;
   let learnt = -(!p) :: !learnt in
   (* backjump level = second-highest level in learnt clause *)
   let blevel =
@@ -394,19 +422,19 @@ let solve ?(assumptions = []) s =
             | 1 -> place rest
             | -1 -> false
             | _ ->
-                s.trail_lim <- s.trail_size :: s.trail_lim;
+                new_level s;
                 enqueue s a None;
                 if propagate s <> None then false else place rest)
       in
       if not (place assumptions) then Unsat
       else begin
-        let assumption_levels = decision_level s in
+        let assumption_levels = s.dlevel in
         while !result = None do
           match propagate s with
           | Some confl ->
               s.conflicts <- s.conflicts + 1;
               incr conflicts_since_restart;
-              if decision_level s <= assumption_levels then result := Some Unsat
+              if s.dlevel <= assumption_levels then result := Some Unsat
               else begin
                 let learnt, blevel = analyze s confl in
                 let blevel = max blevel assumption_levels in
@@ -417,7 +445,7 @@ let solve ?(assumptions = []) s =
                     if lit_value s l = 0 then enqueue s l None
                     else if lit_value s l = -1 then result := Some Unsat
                 | l :: _ ->
-                    let c = { lits = Array.of_list learnt; lbd = 0 } in
+                    let c = { lits = Array.of_list learnt } in
                     if Array.length c.lits >= 2 then begin
                       (* watch the asserting literal and a highest-level one *)
                       let best = ref 1 in
@@ -448,7 +476,7 @@ let solve ?(assumptions = []) s =
                 | None -> result := Some Sat
                 | Some v ->
                     s.decisions <- s.decisions + 1;
-                    s.trail_lim <- s.trail_size :: s.trail_lim;
+                    new_level s;
                     enqueue s (if s.phase.(v) then v else -v) None
               end
         done;

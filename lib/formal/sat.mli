@@ -12,6 +12,9 @@ val new_var : t -> int
 
 val nb_vars : t -> int
 
+val nb_clauses : t -> int
+(** Clauses added with {!add_clause} (learnt ones not included). *)
+
 (** A literal is [+v] (variable true) or [-v] (variable false). *)
 
 val add_clause : t -> int list -> unit

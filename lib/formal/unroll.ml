@@ -4,7 +4,14 @@
     and memory words start at zero (the simulators' power-on state) and
     step through [reset ? init : driver] transitions, so a satisfying model
     corresponds exactly to a software-simulation run — BMC traces replay
-    cycle-for-cycle on the interpreter, which the test suite exercises. *)
+    cycle-for-cycle on the interpreter, which the test suite exercises.
+
+    Given [~covers], only the cone of influence of those cover points is
+    encoded: the state and inputs their predicates can see, found by a
+    static walk of the netlist before unrolling. Logic outside the cone
+    cannot change whether a selected cover fires, so verdicts are those of
+    the whole-circuit encoding; inputs outside the cone read 0 in every
+    model. Without [~covers] the whole circuit is encoded. *)
 
 open Sic_ir
 module Bv = Sic_bv.Bv
@@ -22,20 +29,96 @@ type t = {
   p : Prep.prepared;
   bound : int;
   input_bits : (string * Gate.bits array) list;  (** per input: bits per cycle *)
-  cover_lits : (string * int array) list;  (** per cover: literal per cycle *)
+  cover_lits : (string * int array) list;  (** per selected cover: literal per cycle *)
+  regs_in_cone : int;  (** registers given next-state logic *)
 }
+
+(** [mem.port.data] name -> (memory, its state, read port) *)
+let mem_data_ports (p : Prep.prepared) =
+  let ports = Hashtbl.create 8 in
+  List.iter
+    (fun (mname, (ms : Prep.mem_state)) ->
+      List.iter
+        (fun { Stmt.rp_name } ->
+          Hashtbl.replace ports (mname ^ "." ^ rp_name ^ ".data") (mname, ms, rp_name))
+        ms.Prep.mem.Stmt.mem_readers)
+    p.Prep.mems;
+  ports
+
+(** Every name the unrolling evaluates for [roots], and the memories they
+    read, following the same edges as the per-cycle evaluator: a node or
+    wire brings in its definition; a register its driver, reset condition
+    and reset value; a memory data port its read address and the memory,
+    which brings in every write port's enable, address and data and every
+    latched sync-read address. *)
+let cone (p : Prep.prepared) ports (roots : Expr.t list) : (string, unit) Hashtbl.t =
+  let regs = Hashtbl.create 32 in
+  List.iter (fun (r : Prep.reg_info) -> Hashtbl.replace regs r.Prep.reg_name r) p.Prep.regs;
+  let seen = Hashtbl.create 256 in
+  let mems = Hashtbl.create 8 in
+  let work = Stack.create () in
+  let push n = Stack.push n work in
+  let push_expr e = List.iter push (Expr.references e) in
+  List.iter push_expr roots;
+  while not (Stack.is_empty work) do
+    let n = Stack.pop work in
+    if not (Hashtbl.mem seen n) then begin
+      Hashtbl.replace seen n ();
+      if not (Hashtbl.mem p.Prep.input_names n) then
+        match Hashtbl.find_opt regs n with
+        | Some r ->
+            Option.iter push_expr (Hashtbl.find_opt p.Prep.drivers n);
+            Option.iter
+              (fun (rst, init) ->
+                push_expr rst;
+                push_expr init)
+              r.Prep.reset
+        | None -> (
+            match Hashtbl.find_opt ports n with
+            | Some (mname, (ms : Prep.mem_state), rp) ->
+                push (mname ^ "." ^ rp ^ ".addr");
+                if not (Hashtbl.mem mems mname) then begin
+                  Hashtbl.replace mems mname ();
+                  Hashtbl.replace seen mname ();
+                  List.iter
+                    (fun { Stmt.wp_name } ->
+                      List.iter
+                        (fun field -> push (mname ^ "." ^ wp_name ^ field))
+                        [ ".en"; ".addr"; ".data" ])
+                    ms.Prep.mem.Stmt.mem_writers;
+                  List.iter (fun (rp, _) -> push (mname ^ "." ^ rp ^ ".addr")) ms.Prep.latched_addrs
+                end
+            | None -> (
+                match Hashtbl.find_opt p.Prep.node_defs n with
+                | Some e -> push_expr e
+                | None -> Option.iter push_expr (Hashtbl.find_opt p.Prep.drivers n)))
+    end
+  done;
+  seen
 
 (** Unroll [bound] cycles. With [~free_init:true] the initial state
     (registers, memory words, sync-read latches) consists of fresh
     variables instead of the power-on zeros — the arbitrary-state
-    unrolling used by the inductive step of {!Bmc.prove_unreachable}. *)
-let unroll ?(reset_cycles = 1) ?(free_init = false) (circuit : Circuit.t) ~bound : t =
+    unrolling used by the inductive step of {!Bmc.prove_unreachable}.
+    [~covers] selects the cover points to encode, and with them the cone
+    of influence (see above); names that are not cover points are ignored.
+    Without it every cover and the whole circuit are encoded. *)
+let unroll ?(reset_cycles = 1) ?(free_init = false) ?covers (circuit : Circuit.t) ~bound : t =
   let p = Prep.prepare circuit in
   let ty_of = Circuit.lookup_of p.Prep.env in
+  let mem_data_port = mem_data_ports p in
+  let selected, in_cone =
+    match covers with
+    | None -> (p.Prep.covers, fun _ -> true)
+    | Some names ->
+        let selected = List.filter (fun (n, _) -> List.mem n names) p.Prep.covers in
+        (selected, Hashtbl.mem (cone p mem_data_port (List.map snd selected)))
+  in
   let solver = Sat.create () in
   let ctx = Gate.create solver in
   let init_bits w = if free_init then Gate.fresh_bits ctx w else Gate.zero_bits ctx w in
-  (* allocate input variables for all cycles; constrain reset *)
+  (* allocate input variables for all cycles; constrain reset; inputs
+     outside the cone are constant 0 *)
   let input_bits =
     Hashtbl.fold
       (fun name w acc ->
@@ -44,18 +127,21 @@ let unroll ?(reset_cycles = 1) ?(free_init = false) (circuit : Circuit.t) ~bound
               if name = "reset" then
                 if t < reset_cycles then Gate.const_bits ctx (Bv.one 1)
                 else Gate.const_bits ctx (Bv.zero 1)
-              else Gate.fresh_bits ctx w)
+              else if in_cone name then Gate.fresh_bits ctx w
+              else Gate.zero_bits ctx w)
         in
         (name, arr) :: acc)
       p.Prep.input_names []
   in
+  let regs = List.filter (fun (r : Prep.reg_info) -> in_cone r.Prep.reg_name) p.Prep.regs in
+  let mems = List.filter (fun (mname, _) -> in_cone mname) p.Prep.mems in
   let input_of name t = Array.get (List.assoc name input_bits) t in
   (* state: registers and memory words, per cycle boundary *)
   let reg_state : (string, Gate.bits) Hashtbl.t = Hashtbl.create 32 in
   List.iter
     (fun (r : Prep.reg_info) ->
       Hashtbl.replace reg_state r.Prep.reg_name (init_bits (Ty.width r.Prep.reg_ty)))
-    p.Prep.regs;
+    regs;
   let mem_state : (string, Gate.bits array) Hashtbl.t = Hashtbl.create 8 in
   let latched : (string, Gate.bits) Hashtbl.t = Hashtbl.create 8 in
   List.iter
@@ -76,17 +162,9 @@ let unroll ?(reset_cycles = 1) ?(free_init = false) (circuit : Circuit.t) ~bound
           Hashtbl.replace latched (mname ^ "." ^ rp)
             (init_bits (Ty.clog2 ms.Prep.mem.Stmt.mem_depth)))
         ms.Prep.latched_addrs)
-    p.Prep.mems;
+    mems;
   (* per-cycle lazy evaluation into literals *)
-  let mem_data_port = Hashtbl.create 8 in
-  List.iter
-    (fun (mname, (ms : Prep.mem_state)) ->
-      List.iter
-        (fun { Stmt.rp_name } ->
-          Hashtbl.replace mem_data_port (mname ^ "." ^ rp_name ^ ".data") (mname, ms, rp_name))
-        ms.Prep.mem.Stmt.mem_readers)
-    p.Prep.mems;
-  let covers = ref (List.map (fun (n, _) -> (n, Array.make bound (Gate.ff ctx))) p.Prep.covers) in
+  let covers = ref (List.map (fun (n, _) -> (n, Array.make bound (Gate.ff ctx))) selected) in
   for t = 0 to bound - 1 do
     let env = { values = Hashtbl.create 256; in_progress = Hashtbl.create 64 } in
     let rec value name : Gate.bits =
@@ -95,6 +173,8 @@ let unroll ?(reset_cycles = 1) ?(free_init = false) (circuit : Circuit.t) ~bound
       | None ->
           if Hashtbl.mem env.in_progress name then
             raise (Formal_error ("combinational loop through " ^ name));
+          if not (in_cone name) then
+            raise (Formal_error (name ^ " is outside the cone of influence"));
           Hashtbl.replace env.in_progress name ();
           let b = compute name in
           Hashtbl.remove env.in_progress name;
@@ -153,7 +233,7 @@ let unroll ?(reset_cycles = 1) ?(free_init = false) (circuit : Circuit.t) ~bound
           assert (String.equal name name');
           arr.(t) <- (blast pred).(0);
           (name', arr))
-        p.Prep.covers !covers;
+        selected !covers;
     (* next state *)
     let next_regs =
       List.map
@@ -172,7 +252,7 @@ let unroll ?(reset_cycles = 1) ?(free_init = false) (circuit : Circuit.t) ~bound
             | None -> base
           in
           (n, v))
-        p.Prep.regs
+        regs
     in
     let next_mems =
       List.map
@@ -201,7 +281,7 @@ let unroll ?(reset_cycles = 1) ?(free_init = false) (circuit : Circuit.t) ~bound
               ms.Prep.latched_addrs
           in
           (mname, words', latches))
-        p.Prep.mems
+        mems
     in
     List.iter (fun (n, v) -> Hashtbl.replace reg_state n v) next_regs;
     List.iter
@@ -210,4 +290,4 @@ let unroll ?(reset_cycles = 1) ?(free_init = false) (circuit : Circuit.t) ~bound
         List.iter (fun (k, v) -> Hashtbl.replace latched k v) latches)
       next_mems
   done;
-  { ctx; p; bound; input_bits; cover_lits = !covers }
+  { ctx; p; bound; input_bits; cover_lits = !covers; regs_in_cone = List.length regs }

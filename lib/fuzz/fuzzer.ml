@@ -361,7 +361,7 @@ let run ?(seed = 0) ?(execs = 200) ?(snapshot_every = 10) ?(max_cycles = 16)
      traces, a loaded on-disk corpus); each is executed below so its
      coverage lands in [cumulative] even if mutation never revisits it *)
   let corpus = ref (Bytes.make (h.bytes_per_cycle * seed_cycles) '\000' :: corpus) in
-  let cumulative = ref (Counts.create ()) in
+  let cumulative = Counts.create () in
   let history = ref [] in
   let n_execs = ref 0 in
   let span = Obs.span_open () in
@@ -392,7 +392,7 @@ let run ?(seed = 0) ?(execs = 200) ?(snapshot_every = 10) ?(max_cycles = 16)
     (fun input ->
       incr n_execs;
       let counts = execute h input in
-      cumulative := Counts.merge [ !cumulative; counts ];
+      Counts.merge_into cumulative counts;
       ignore (interesting counts))
     !corpus;
   while !n_execs < execs do
@@ -407,7 +407,7 @@ let run ?(seed = 0) ?(execs = 200) ?(snapshot_every = 10) ?(max_cycles = 16)
     in
     incr n_execs;
     let counts = execute h child in
-    cumulative := Counts.merge [ !cumulative; counts ];
+    Counts.merge_into cumulative counts;
     if interesting counts then begin
       corpus := child :: !corpus;
       if Obs.on () then
@@ -420,9 +420,9 @@ let run ?(seed = 0) ?(execs = 200) ?(snapshot_every = 10) ?(max_cycles = 16)
             ]
     end;
     if !n_execs mod snapshot_every = 0 then begin
-      history := (!n_execs, !cumulative) :: !history;
+      history := (!n_execs, Hashtbl.copy cumulative) :: !history;
       (match on_snapshot with
-      | Some f -> f ~execs:!n_execs ~covered:(Counts.covered_points !cumulative)
+      | Some f -> f ~execs:!n_execs ~covered:(Counts.covered_points cumulative)
       | None -> ());
       emit_progress ()
     end
@@ -433,7 +433,7 @@ let run ?(seed = 0) ?(execs = 200) ?(snapshot_every = 10) ?(max_cycles = 16)
       execs = !n_execs;
       corpus_size = List.length !corpus;
       seen_pairs = Hashtbl.length seen;
-      cumulative = !cumulative;
+      cumulative;
     }
   in
   Obs.span_close span ~name:"fuzz.run"

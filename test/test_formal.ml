@@ -311,6 +311,95 @@ let test_bmc_riscv_mini_icache () =
     [ "fsm_icache.state_state_WriteThrough" ]
     (Bmc.unreachable report)
 
+(* --- cone of influence ---------------------------------------------- *)
+
+(* Per point, the cone-restricted check must give the whole circuit's
+   verdict, and every cone witness must replay on the interpreter and fire
+   its point. *)
+let check_cone_matches_whole ?(reset_cycles = 1) low ~bound =
+  let whole = Bmc.check_covers ~bound ~reset_cycles low in
+  List.iter
+    (fun (name, verdict) ->
+      let r = Bmc.check_covers ~bound ~reset_cycles ~covers:[ name ] low in
+      match (verdict, List.assoc name r.Bmc.results) with
+      | Bmc.Unreachable_within_bound, Bmc.Unreachable_within_bound -> ()
+      | Bmc.Reachable _, Bmc.Reachable trace ->
+          let b = Sic_sim.Interp.create low in
+          Sic_sim.Replay.replay b trace;
+          Alcotest.(check bool)
+            (name ^ ": cone witness fires under replay")
+            true
+            (Sic_coverage.Counts.get (b.Sic_sim.Backend.counts ()) name > 0)
+      | _ -> Alcotest.failf "%s: cone verdict differs from the whole circuit's" name)
+    whole.Bmc.results;
+  whole
+
+let line_instrumented c = lower (fst (Sic_coverage.Line_coverage.instrument c))
+
+let test_cone_designs () =
+  let uart = check_cone_matches_whole (line_instrumented (Sic_designs.Uart.circuit ())) ~bound:20 in
+  Alcotest.(check int) "uart: 9 points unreachable at bound 20" 9
+    (List.length (Bmc.unreachable uart));
+  ignore (check_cone_matches_whole (line_instrumented (Sic_designs.I2c.circuit ())) ~bound:12)
+
+(* [target] sees state through a written combinational memory, a written
+   sync-read memory (latched address) and register [r], whose only source
+   is its reset value [k]: with two reset cycles [r] captures the first
+   [seed], with one it captures [k]'s power-on zero and [target] is dead.
+   The unused sync port [sm.r2] still latches its address each cycle.
+   Register [u] and input [noise] lie outside [target]'s cone. *)
+let cone_circuit () =
+  let cb = Dsl.create_circuit "Cone" in
+  Dsl.module_ cb "Cone" (fun m ->
+      let open Dsl in
+      let addr = input m "addr" (Ty.UInt 2) in
+      let wdata = input m "wdata" (Ty.UInt 4) in
+      let we = input m "we" (Ty.UInt 1) in
+      let seed = input m "seed" (Ty.UInt 4) in
+      let noise = input m "noise" (Ty.UInt 4) in
+      let cm = mem m "cm" (Ty.UInt 4) ~depth:4 ~readers:[ "r" ] ~writers:[ "w" ] in
+      let sm =
+        mem ~sync_read:true m "sm" (Ty.UInt 4) ~depth:4 ~readers:[ "r"; "r2" ] ~writers:[ "w" ]
+      in
+      when_ m we (fun () ->
+          mem_write cm "w" ~addr ~data:wdata;
+          mem_write sm "w" ~addr ~data:(wdata ^: lit 4 0xf));
+      let crd = mem_read cm "r" addr and srd = mem_read sm "r" addr in
+      let k = reg_ m "k" (Ty.UInt 4) in
+      connect m k seed;
+      let r = reg_init m "r" k in
+      connect m r r;
+      let u = reg_init m "u" (lit 4 0) in
+      connect m u (u +: noise);
+      connect m (output m "u_out" (Ty.UInt 4)) u;
+      connect m (output m "r2_out" (Ty.UInt 4)) (mem_read sm "r2" (input m "addr2" (Ty.UInt 2)));
+      cover m "target" ((crd ==: lit 4 3) &: (srd ==: lit 4 6) &: (r ==: lit 4 9));
+      cover m "u_seen" (u ==: lit 4 5));
+  lower (Dsl.finalize cb)
+
+let test_cone_directed () =
+  let low = cone_circuit () in
+  let regs covers = (Sic_formal.Unroll.unroll ~covers low ~bound:2).Sic_formal.Unroll.regs_in_cone in
+  Alcotest.(check int) "target's cone: r and k, not u" 2 (regs [ "target" ]);
+  Alcotest.(check int) "u_seen's cone: u alone" 1 (regs [ "u_seen" ]);
+  Alcotest.(check int) "no cover selected: no state" 0 (regs [ "no_such_point" ]);
+  let whole = check_cone_matches_whole ~reset_cycles:2 low ~bound:8 in
+  let target = Bmc.check_covers ~bound:8 ~reset_cycles:2 ~covers:[ "target" ] low in
+  (match List.assoc "target" target.Bmc.results with
+  | Bmc.Reachable trace ->
+      let noise =
+        Option.get (List.find_index (String.equal "noise") trace.Sic_sim.Replay.input_names)
+      in
+      Array.iter
+        (fun frame ->
+          Alcotest.(check bool) "an input outside the cone reads 0" true (Bv.is_zero frame.(noise)))
+        trace.Sic_sim.Replay.frames
+  | Bmc.Unreachable_within_bound -> Alcotest.fail "target needs two writes, two reads and seed = 9");
+  Alcotest.(check (list string)) "two reset cycles: everything reachable" [] (Bmc.unreachable whole);
+  let one = check_cone_matches_whole ~reset_cycles:1 low ~bound:8 in
+  Alcotest.(check (list string)) "one reset cycle: r holds k's power-on zero" [ "target" ]
+    (Bmc.unreachable one)
+
 let test_induction () =
   (* the Figure-7 FSM has a 2-bit state register with only 3 legal states;
      the illegal encoding 3 holds itself, so induction proves the cover
@@ -376,6 +465,9 @@ let tests =
     Alcotest.test_case "bmc: fsm reachability" `Quick test_bmc_fsm;
     Alcotest.test_case "bmc: dead cover detection" `Quick test_bmc_unreachable;
     Alcotest.test_case "bmc: synchronous memory modelling" `Quick test_bmc_sync_mem;
+    Alcotest.test_case "bmc: cone verdicts match the whole circuit (uart, i2c)" `Quick
+      test_cone_designs;
+    Alcotest.test_case "bmc: cone through memories and a reset value" `Quick test_cone_directed;
     Alcotest.test_case "bmc: riscv-mini icache write unreachable" `Slow
       test_bmc_riscv_mini_icache;
   ]
