@@ -3,21 +3,26 @@
 
     The paper's common counts format makes every backend's result
     mergeable (§5.3); this module supplies the missing operational half:
-    shard a deterministic job list across [-j N] forked worker processes,
-    collect each worker's counts over a pipe, survive crashes and
-    timeouts (a dead worker records a {e failed run}, never kills the
-    campaign), and between {e waves} fold everything into the database
-    and strip already-covered points from the next, more expensive
-    instrumentation — the §5.3 removal loop generalized from
-    "software then FPGA" to an arbitrary cost ladder (simulators, then
-    fuzzing, then modelled FPGA, then BMC).
+    run a deterministic job list on a pool of [-j N] forked workers (one
+    pool per {!run_jobs} call; each worker runs job after job as the
+    parent dispatches them, so fork and copy-on-write are paid per worker
+    rather than per job), collect each job's counts over a pipe, survive
+    crashes and timeouts (a dead worker fails only its own job, recorded
+    as a {e failed run}, and is replaced; the campaign never dies), and
+    between {e waves} fold everything into the database and strip
+    already-covered points from the next, more expensive instrumentation
+    — the §5.3 removal loop generalized from "software then FPGA" to an
+    arbitrary cost ladder (simulators, then fuzzing, then modelled FPGA,
+    then BMC).
 
     Determinism: each job's RNG seed derives from the campaign master
     seed and the job's global index ({!Sic_fuzz.Rng.split}), never from
-    scheduling; results are committed to the database in job order at
-    each wave barrier; and the aggregate is a commutative, associative
-    merge — so the database contents are byte-for-byte identical at any
-    [-j]. *)
+    scheduling; a job carries no state out of its worker (it builds its
+    own engines and starts from reset telemetry), so which worker runs
+    it, and after which jobs, changes nothing; results are committed to
+    the database in job order at each wave barrier; and the aggregate is
+    a commutative, associative merge — so the database contents are
+    byte-for-byte identical at any [-j]. *)
 
 module Bv = Sic_bv.Bv
 module Counts = Sic_coverage.Counts
@@ -91,7 +96,7 @@ type job = {
           point this way. Other backends ignore it *)
   corpus : bytes list;
       (** extra initial fuzz seeds (witness-derived inputs); inherited by
-          the forked worker through the job record, so nothing crosses
+          the forked worker through the job list, so nothing crosses
           the pipe. [[]] for every backend but [Fuzz] *)
 }
 
@@ -283,7 +288,17 @@ let run_job ?progress (job : job) : job_result =
    v1 counts text a solo worker would have shipped. A [Bmc_witness] job's
    confirmed traces ride in once more by the same trick: [witness_bytes]
    frames one section per witness after the lane sections, each a cover
-   name line followed by the trace in the {!Replay.to_string} text. *)
+   name line followed by the trace in the {!Replay.to_string} text.
+
+   A pooled worker outlives its job, so a result ends at the bytes the
+   header advertises ([body_length]), not at EOF, and the next job's
+   lines follow it. A section [body_length]
+   does not count would desynchronise the pipe, which is why a new one
+   is added there and in [decode_body] together (parent and worker are
+   one forked binary, so they never disagree). The other direction is
+   one dispatch line per job on the worker's command pipe:
+   [<position> <crash>], the job's position in the list the worker
+   inherited and the crash-injection flag. *)
 
 let proto_version = 2
 
@@ -353,114 +368,104 @@ type decoded = {
   telemetry : string;  (** {!Obs.import_events} payload; [""] when off *)
 }
 
-let decode (payload : string) : (decoded, string) result =
+(* a parsed result header, checked against this orchestrator's protocol *)
+let check_header (h : Json.t) : (Json.t, string) result =
+  match Json.int_member "proto" h with
+  | Some v when v <> proto_version ->
+      Error (Printf.sprintf "worker speaks protocol %d, this orchestrator speaks %d" v proto_version)
+  | None -> Error "worker header lacks a protocol version"
+  | Some _ -> Ok h
+
+let section_len h k = Option.value ~default:0 (Json.int_member k h)
+
+let section_lens h k =
+  match Json.member k h with
+  | Some (Json.List l) -> List.map (function Json.Int n -> n | _ -> 0) l
+  | _ -> []
+
+(* the bytes a header frames after its own line: where a result ends *)
+let body_length h =
+  section_len h "counts_bytes" + section_len h "timeline_bytes"
+  + section_len h "telemetry_bytes" + section_len h "profile_bytes"
+  + List.fold_left ( + ) 0 (section_lens h "lane_counts_bytes")
+  + List.fold_left ( + ) 0 (section_lens h "witness_bytes")
+
+(* a result whose header already parsed; [body] holds at least the
+   advertised sections *)
+let decode_body h (body : string) : (decoded, string) result =
   let fail fmt = Printf.ksprintf (fun m -> Error m) fmt in
+  let want = body_length h in
+  if String.length body < want then
+    fail "truncated worker body (%d of %d bytes)" (String.length body) want
+  else
+    let off = ref 0 in
+    let take n =
+      let s = String.sub body !off n in
+      off := !off + n;
+      s
+    in
+    let counts_s = take (section_len h "counts_bytes") in
+    let timeline_s = take (section_len h "timeline_bytes") in
+    let telemetry = take (section_len h "telemetry_bytes") in
+    let profile_s = take (section_len h "profile_bytes") in
+    let lane_sections = List.map take (section_lens h "lane_counts_bytes") in
+    let witness_sections = List.map take (section_lens h "witness_bytes") in
+    let witness_of_section s =
+      match String.index_opt s '\n' with
+      | None -> raise (Artifact.Bad_format "witness section lacks a name line")
+      | Some i ->
+          (String.sub s 0 i, Replay.of_string (String.sub s (i + 1) (String.length s - i - 1)))
+    in
+    match Json.string_member "status" h with
+    | Some "ok" -> (
+        match
+          ( Counts.of_string counts_s,
+            (if timeline_s = "" then None else Some (Timeline.of_string timeline_s)),
+            (if profile_s = "" then None
+             else match Profile.of_string profile_s with [ d ] -> Some d | _ -> None),
+            List.map Counts.of_string lane_sections,
+            List.map witness_of_section witness_sections )
+        with
+        | counts, timeline, prof, lane_extra, witnesses ->
+            Ok
+              {
+                outcome =
+                  Ok
+                    {
+                      counts;
+                      lane_extra;
+                      timeline;
+                      prof;
+                      witnesses;
+                      sim_cycles = Option.value ~default:0 (Json.int_member "sim_cycles" h);
+                      wall_us = Option.value ~default:0. (Json.float_member "wall_us" h);
+                    };
+                telemetry;
+              }
+        | exception Artifact.Bad_format m -> fail "bad worker result: %s" m)
+    | Some "failed" ->
+        Ok
+          {
+            outcome = Error (Option.value ~default:"unknown" (Json.string_member "error" h));
+            telemetry;
+          }
+    | Some s -> fail "unknown worker status %s" s
+    | None -> fail "worker header lacks a status"
+
+let decode (payload : string) : (decoded, string) result =
   match String.index_opt payload '\n' with
   | None -> Error "truncated worker result"
   | Some i -> (
-      let header = String.sub payload 0 i in
-      let body = String.sub payload (i + 1) (String.length payload - i - 1) in
-      match Json.parse header with
-      | exception Json.Parse_error m -> fail "bad worker header: %s" m
-      | h -> (
-          match Json.int_member "proto" h with
-          | Some v when v <> proto_version ->
-              fail "worker speaks protocol %d, this orchestrator speaks %d" v proto_version
-          | None -> fail "worker header lacks a protocol version"
-          | Some _ -> (
-              let len k = Option.value ~default:0 (Json.int_member k h) in
-              let counts_len = len "counts_bytes" in
-              let timeline_len = len "timeline_bytes" in
-              let telemetry_len = len "telemetry_bytes" in
-              let profile_len = len "profile_bytes" in
-              let lane_lens =
-                match Json.member "lane_counts_bytes" h with
-                | Some (Json.List l) ->
-                    List.map (function Json.Int n -> n | _ -> 0) l
-                | _ -> []
-              in
-              let witness_lens =
-                match Json.member "witness_bytes" h with
-                | Some (Json.List l) ->
-                    List.map (function Json.Int n -> n | _ -> 0) l
-                | _ -> []
-              in
-              let want =
-                counts_len + timeline_len + telemetry_len + profile_len
-                + List.fold_left ( + ) 0 lane_lens
-                + List.fold_left ( + ) 0 witness_lens
-              in
-              if String.length body < want then
-                fail "truncated worker body (%d of %d bytes)" (String.length body) want
-              else
-                let counts_s = String.sub body 0 counts_len in
-                let timeline_s = String.sub body counts_len timeline_len in
-                let telemetry = String.sub body (counts_len + timeline_len) telemetry_len in
-                let profile_s =
-                  String.sub body (counts_len + timeline_len + telemetry_len) profile_len
-                in
-                let off = ref (counts_len + timeline_len + telemetry_len + profile_len) in
-                let take n =
-                  let s = String.sub body !off n in
-                  off := !off + n;
-                  s
-                in
-                let lane_sections = List.map take lane_lens in
-                let witness_sections = List.map take witness_lens in
-                let witness_of_section s =
-                  match String.index_opt s '\n' with
-                  | None -> raise (Artifact.Bad_format "witness section lacks a name line")
-                  | Some i ->
-                      ( String.sub s 0 i,
-                        Replay.of_string (String.sub s (i + 1) (String.length s - i - 1)) )
-                in
-                match Json.string_member "status" h with
-                | Some "ok" -> (
-                    match
-                      ( Counts.of_string counts_s,
-                        (if timeline_len = 0 then None
-                         else Some (Timeline.of_string timeline_s)),
-                        (if profile_len = 0 then None
-                         else
-                           match Profile.of_string profile_s with
-                           | [ d ] -> Some d
-                           | _ -> None),
-                        List.map Counts.of_string lane_sections,
-                        List.map witness_of_section witness_sections )
-                    with
-                    | counts, timeline, prof, lane_extra, witnesses ->
-                        Ok
-                          {
-                            outcome =
-                              Ok
-                                {
-                                  counts;
-                                  lane_extra;
-                                  timeline;
-                                  prof;
-                                  witnesses;
-                                  sim_cycles =
-                                    Option.value ~default:0 (Json.int_member "sim_cycles" h);
-                                  wall_us =
-                                    Option.value ~default:0. (Json.float_member "wall_us" h);
-                                };
-                            telemetry;
-                          }
-                    | exception Artifact.Bad_format m -> fail "bad worker result: %s" m)
-                | Some "failed" ->
-                    Ok
-                      {
-                        outcome =
-                          Error
-                            (Option.value ~default:"unknown" (Json.string_member "error" h));
-                        telemetry;
-                      }
-                | Some s -> fail "unknown worker status %s" s
-                | None -> fail "worker header lacks a status")))
+      match Json.parse (String.sub payload 0 i) with
+      | exception Json.Parse_error m -> Error ("bad worker header: " ^ m)
+      | h ->
+          Result.bind (check_header h) (fun h ->
+              decode_body h (String.sub payload (i + 1) (String.length payload - i - 1))))
 
-(* sic ignores SIGPIPE process-wide (bin/sic.ml), so a write after the
-   parent closed the result pipe raises Unix_error (EPIPE) here rather
-   than killing the worker; child_main's catch-all absorbs it and the
+(* A write after the parent closed the result pipe raises
+   Unix_error (EPIPE) rather than killing the worker: sic ignores SIGPIPE
+   process-wide (bin/sic.ml), and [run_jobs] ignores it while its pool
+   lives. The worker's catch-all absorbs it and the worker exits; the
    parent records the job from whatever arrived (usually a retry). *)
 let write_all fd s =
   let b = Bytes.of_string s in
@@ -474,54 +479,60 @@ let write_all fd s =
     sampling hooks can fire far more often than the parent cares. *)
 let heartbeat_interval_s = 0.05
 
-(** What the forked child does. [crash] simulates a hard worker death
-    (SIGKILL to itself) — the failure-isolation test hook. Exits via
-    [Unix._exit] so the parent's buffered channels and [at_exit] hooks
-    never run twice. *)
-let child_main ~crash (job : job) (wfd : Unix.file_descr) : 'a =
+(* One job inside a worker: heartbeats go to [wfd] as it runs, the result
+   payload is returned. The worker's recorded telemetry is dropped first,
+   so the lane it exports holds this job's events only (t0 is inherited
+   from the parent, so timestamps stay on the campaign clock). *)
+let run_in_worker (job : job) (wfd : Unix.file_descr) : string =
+  if Obs.on () then Obs.reset ();
+  let last_hb = ref 0. in
+  let progress ~cycles ~covered =
+    let now = Unix.gettimeofday () in
+    if now -. !last_hb >= heartbeat_interval_s then begin
+      last_hb := now;
+      write_all wfd
+        (Json.to_string
+           (Json.Obj
+              [
+                ("type", Json.String "hb");
+                ("job", Json.Int job.index);
+                ("cycles", Json.Int cycles);
+                ("covered", Json.Int covered);
+              ])
+        ^ "\n")
+    end
+  in
+  try
+    encode_ok
+      (Obs.span "fleet.job"
+         ~args:
+           [
+             ("job", Obs.Int job.index);
+             ("design", Obs.Str job.design);
+             ("backend", Obs.Str (backend_name job.backend));
+             ("seed", Obs.Int job.seed);
+           ]
+         (fun () -> run_job ~progress job))
+  with e -> encode_failed (Printexc.to_string e)
+
+(** What a forked worker does: read a dispatch line [<position> <crash>]
+    off [cmd], run [work.(position)], write its heartbeats and result to
+    [wfd], and wait for the next line; exit on EOF on [cmd]. [crash = 1]
+    makes the worker SIGKILL itself (the failure-isolation test hook).
+    Exits via [Unix._exit] so the parent's buffered channels and
+    [at_exit] hooks never run twice. *)
+let worker_main (work : job array) (cmd : Unix.file_descr) (wfd : Unix.file_descr) : 'a =
   (* runtime prints from the simulated design belong to the job, not to
      the campaign's terminal *)
   Obs.sink := ignore;
-  (* the fork inherits the parent's recorded events; this worker's
-     exported lane must contain only its own (t0 is inherited too, so
-     timestamps stay on the campaign clock) *)
-  if Obs.on () then Obs.reset ();
-  if crash then Unix.kill (Unix.getpid ()) Sys.sigkill;
+  let ic = Unix.in_channel_of_descr cmd in
   (try
-     let last_hb = ref 0. in
-     let progress ~cycles ~covered =
-       let now = Unix.gettimeofday () in
-       if now -. !last_hb >= heartbeat_interval_s then begin
-         last_hb := now;
-         write_all wfd
-           (Json.to_string
-              (Json.Obj
-                 [
-                   ("type", Json.String "hb");
-                   ("job", Json.Int job.index);
-                   ("cycles", Json.Int cycles);
-                   ("covered", Json.Int covered);
-                 ])
-           ^ "\n")
-       end
-     in
-     let payload =
-       try
-         encode_ok
-           (Obs.span "fleet.job"
-              ~args:
-                [
-                  ("job", Obs.Int job.index);
-                  ("design", Obs.Str job.design);
-                  ("backend", Obs.Str (backend_name job.backend));
-                  ("seed", Obs.Int job.seed);
-                ]
-              (fun () -> run_job ~progress job))
-       with e -> encode_failed (Printexc.to_string e)
-     in
-     write_all wfd payload
+     while true do
+       let pos, crash = Scanf.sscanf (input_line ic) "%d %d" (fun p c -> (p, c)) in
+       if crash = 1 then Unix.kill (Unix.getpid ()) Sys.sigkill;
+       write_all wfd (run_in_worker work.(pos) wfd)
+     done
    with _ -> ());
-  (try Unix.close wfd with _ -> ());
   Unix._exit 0
 
 (** What the orchestrator reports as a campaign unfolds — the feed behind
@@ -532,18 +543,25 @@ type job_event =
   | Job_retried of { job : job; attempt : int; why : string }
   | Job_finished of { job : job; result : (job_result, string) result }
 
+(* a job handed to a worker *)
+type task = {
+  pos : int;  (** position in [run_jobs]'s list, as the dispatch line names it *)
+  t_job : job;
+  attempt : int;  (** 0-based *)
+  dispatched : float;  (** wall clock, for the timeout *)
+  t_start_us : float;  (** on the telemetry clock, for the attempt span *)
+  mutable timed_out : bool;
+  mutable header : (Json.t * int) option;
+      (** the result header and the offset in the worker's buffer where
+          its sections start, once the header has arrived *)
+}
+
 type worker = {
   pid : int;
-  w_job : job;
-  attempt : int;  (** 0-based *)
-  rfd : Unix.file_descr;
-  buf : Buffer.t;
-  started : float;
-  w_start_us : float;  (** on the telemetry clock, for the attempt span *)
-  mutable timed_out : bool;
-  mutable result_seen : bool;
-      (** leading heartbeat lines already drained; [buf] starts at the
-          result header *)
+  cmd : Unix.file_descr;  (** dispatch lines, parent to worker *)
+  rfd : Unix.file_descr;  (** heartbeats and results, worker to parent *)
+  buf : Buffer.t;  (** result-pipe bytes not yet consumed *)
+  mutable task : task option;  (** [None] while idle *)
 }
 
 let rec waitpid_retry pid =
@@ -556,30 +574,51 @@ let select_retry rfds timeout =
   | r, _, _ -> r
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> []
 
-(** Run every job, at most [jobs] concurrently, each in its own forked
-    worker. Per-job [timeout_s] and [retries] (extra attempts after a
+let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
+let kill_quietly pid = try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ()
+
+let death_reason status =
+  (* OCaml signal numbers are negative internals; name the common ones *)
+  let signal_name s =
+    if s = Sys.sigkill then "SIGKILL"
+    else if s = Sys.sigsegv then "SIGSEGV"
+    else if s = Sys.sigterm then "SIGTERM"
+    else if s = Sys.sigint then "SIGINT"
+    else if s = Sys.sigabrt then "SIGABRT"
+    else string_of_int s
+  in
+  match status with
+  | Unix.WEXITED n -> Printf.sprintf "worker exited with status %d" n
+  | Unix.WSIGNALED s -> Printf.sprintf "worker killed by signal %s" (signal_name s)
+  | Unix.WSTOPPED s -> Printf.sprintf "worker stopped by signal %s" (signal_name s)
+
+(** Run every job on a pool of at most [jobs] forked workers that lives
+    for this call: each worker inherits the job list through the fork and
+    runs one job after another as the parent dispatches them. Per-job
+    [timeout_s] (from dispatch) and [retries] (extra attempts after a
     crash, a timeout or a job-level exception); a job that still fails is
     returned as [Error reason] — the campaign never dies with its
-    workers. Results come back in input order regardless of completion
-    order. [inject_crash] marks jobs whose workers kill themselves hard
-    (testing); [on_event] observes starts, heartbeats, retries and
-    finishes as they happen. *)
+    workers, and a dead worker is replaced while jobs wait. Results come
+    back in input order regardless of completion order. [inject_crash]
+    marks jobs whose workers kill themselves hard (testing); [on_event]
+    observes dispatches ([Job_started]), heartbeats, retries and
+    finishes as they happen. Every worker is reaped before this returns
+    or raises. *)
 let run_jobs ?(jobs = 1) ?timeout_s ?(retries = 1) ?(inject_crash = fun _ -> false)
     ?on_event (work : job list) : (job * (job_result, string) result) list =
   let jobs = max 1 jobs in
   let emit ev = match on_event with Some f -> f ev | None -> () in
-  let results : (int, (job_result, string) result) Hashtbl.t = Hashtbl.create 64 in
+  let work = Array.of_list work in
+  let results = Array.make (Array.length work) None in
   let pending = Queue.create () in
-  List.iter (fun j -> Queue.add (j, 0) pending) work;
-  let running : worker list ref = ref [] in
+  Array.iteri (fun pos _ -> Queue.add (pos, 0) pending) work;
+  let pool : worker list ref = ref [] in
+  let busy w = w.task <> None in
   let gauge_in_flight () =
-    Obs.gauge "fleet.jobs_in_flight" (float_of_int (List.length !running))
+    Obs.gauge "fleet.jobs_in_flight" (float_of_int (List.length (List.filter busy !pool)))
   in
-  let spawn (job, attempt) =
-    (* decide crash injection in the parent: the hook may be stateful
-       (e.g. "crash only on the first attempt"), and child-side mutations
-       would be lost with the fork *)
-    let crash = inject_crash job in
+  let spawn () =
+    let cmd_r, cmd_w = Unix.pipe () in
     let rfd, wfd = Unix.pipe () in
     (* the parent's pending buffered output must not be replayed by the
        child's libc on its own descriptors *)
@@ -587,171 +626,245 @@ let run_jobs ?(jobs = 1) ?timeout_s ?(retries = 1) ?(inject_crash = fun _ -> fal
     flush stderr;
     match Unix.fork () with
     | 0 ->
-        (try Unix.close rfd with _ -> ());
-        child_main ~crash job wfd
+        (* keep only this worker's own ends: a sibling holding another
+           worker's command pipe open would keep that worker from ever
+           seeing EOF *)
+        List.iter
+          (fun w ->
+            close_quietly w.cmd;
+            close_quietly w.rfd)
+          !pool;
+        close_quietly cmd_w;
+        close_quietly rfd;
+        worker_main work cmd_r wfd
     | pid ->
+        Unix.close cmd_r;
         Unix.close wfd;
-        running :=
-          {
-            pid;
-            w_job = job;
-            attempt;
-            rfd;
-            buf = Buffer.create 4096;
-            started = Unix.gettimeofday ();
-            w_start_us = Obs.now_us ();
-            timed_out = false;
-            result_seen = false;
-          }
-          :: !running;
-        gauge_in_flight ();
-        emit (Job_started { job; attempt })
+        Obs.count "fleet.workers_spawned";
+        let w = { pid; cmd = cmd_w; rfd; buf = Buffer.create 4096; task = None } in
+        pool := !pool @ [ w ];
+        w
   in
-  (* pop complete heartbeat lines off the front of the buffer as they
-     arrive; the first line that is not a heartbeat is the result header
-     and stays put for [decode] *)
-  let drain_heartbeats (w : worker) =
-    let continue_ = ref (not w.result_seen) in
-    while !continue_ do
-      let s = Buffer.contents w.buf in
-      match String.index_opt s '\n' with
-      | None -> continue_ := false
-      | Some i -> (
-          match Json.parse (String.sub s 0 i) with
-          | exception Json.Parse_error _ ->
-              w.result_seen <- true;
-              continue_ := false
-          | j when Json.string_member "type" j = Some "hb" ->
-              Buffer.clear w.buf;
-              Buffer.add_substring w.buf s (i + 1) (String.length s - i - 1);
-              emit
-                (Job_heartbeat
-                   {
-                     job = w.w_job;
-                     hb_cycles = Option.value ~default:0 (Json.int_member "cycles" j);
-                     hb_covered = Option.value ~default:0 (Json.int_member "covered" j);
-                   })
-          | _ ->
-              w.result_seen <- true;
-              continue_ := false)
-    done
+  let dispatch w (pos, attempt) =
+    let job = work.(pos) in
+    (* decide crash injection in the parent: the hook may be stateful
+       (e.g. "crash only on the first attempt"), and worker-side mutations
+       would be lost with the worker *)
+    let crash = inject_crash job in
+    w.task <-
+      Some
+        {
+          pos;
+          t_job = job;
+          attempt;
+          dispatched = Unix.gettimeofday ();
+          t_start_us = Obs.now_us ();
+          timed_out = false;
+          header = None;
+        };
+    (* a worker that died idle fails this write; its result pipe then
+       reports the death *)
+    (try write_all w.cmd (Printf.sprintf "%d %d\n" pos (if crash then 1 else 0))
+     with Unix.Unix_error _ -> ());
+    gauge_in_flight ();
+    emit (Job_started { job; attempt })
   in
-  (* merge a finished worker's telemetry as one lane of the campaign trace *)
-  let import_telemetry (w : worker) telemetry =
+  (* merge a finished job's telemetry as one lane of the campaign trace *)
+  let import_telemetry (t : task) telemetry =
     if telemetry <> "" && Obs.on () then begin
       let label =
-        Printf.sprintf "job %d %s/%s seed=%d%s" w.w_job.index w.w_job.design
-          (backend_name w.w_job.backend)
-          w.w_job.seed
-          (if w.attempt > 0 then Printf.sprintf " attempt %d" (w.attempt + 1) else "")
+        Printf.sprintf "job %d %s/%s seed=%d%s" t.t_job.index t.t_job.design
+          (backend_name t.t_job.backend)
+          t.t_job.seed
+          (if t.attempt > 0 then Printf.sprintf " attempt %d" (t.attempt + 1) else "")
       in
       try Obs.import_events ~label telemetry
       with Artifact.Bad_format m ->
         Obs.instant "fleet.telemetry_dropped"
-          ~args:[ ("job", Obs.Int w.w_job.index); ("why", Obs.Str m) ]
+          ~args:[ ("job", Obs.Int t.t_job.index); ("why", Obs.Str m) ]
     end
   in
-  let finish (w : worker) =
-    (try Unix.close w.rfd with _ -> ());
-    let _, wstatus = waitpid_retry w.pid in
-    running := List.filter (fun x -> x.pid <> w.pid) !running;
+  (* record one attempt's outcome: a result, a retry, or a failure *)
+  let settle (t : task) outcome =
     gauge_in_flight ();
-    let outcome =
-      if w.timed_out then
-        Error
-          (Printf.sprintf "timeout after %.1fs" (Option.value ~default:0. timeout_s))
-      else
-        (* OCaml signal numbers are negative internals; name the common ones *)
-        let signal_name s =
-          if s = Sys.sigkill then "SIGKILL"
-          else if s = Sys.sigsegv then "SIGSEGV"
-          else if s = Sys.sigterm then "SIGTERM"
-          else if s = Sys.sigint then "SIGINT"
-          else if s = Sys.sigabrt then "SIGABRT"
-          else string_of_int s
-        in
-        match wstatus with
-        | Unix.WEXITED 0 -> (
-            match decode (Buffer.contents w.buf) with
-            | Ok d ->
-                import_telemetry w d.telemetry;
-                d.outcome
-            | Error m -> Error m)
-        | Unix.WEXITED n -> Error (Printf.sprintf "worker exited with status %d" n)
-        | Unix.WSIGNALED s -> Error (Printf.sprintf "worker killed by signal %s" (signal_name s))
-        | Unix.WSTOPPED s -> Error (Printf.sprintf "worker stopped by signal %s" (signal_name s))
-    in
     (* one parent-side span per attempt: even a worker that died without
        shipping telemetry still shows up in the merged schedule *)
     if Obs.on () then
-      Obs.record_span ~name:"fleet.attempt" ~start_us:w.w_start_us
-        ~dur_us:(Obs.now_us () -. w.w_start_us)
+      Obs.record_span ~name:"fleet.attempt" ~start_us:t.t_start_us
+        ~dur_us:(Obs.now_us () -. t.t_start_us)
         [
-          ("job", Obs.Int w.w_job.index);
-          ("design", Obs.Str w.w_job.design);
-          ("backend", Obs.Str (backend_name w.w_job.backend));
-          ("attempt", Obs.Int (w.attempt + 1));
+          ("job", Obs.Int t.t_job.index);
+          ("design", Obs.Str t.t_job.design);
+          ("backend", Obs.Str (backend_name t.t_job.backend));
+          ("attempt", Obs.Int (t.attempt + 1));
           ("ok", Obs.Bool (match outcome with Ok _ -> true | Error _ -> false));
         ];
     match outcome with
     | Ok r ->
-        Hashtbl.replace results w.w_job.index (Ok r);
-        emit (Job_finished { job = w.w_job; result = Ok r })
-    | Error why when w.attempt < retries ->
+        results.(t.pos) <- Some (Ok r);
+        emit (Job_finished { job = t.t_job; result = Ok r })
+    | Error why when t.attempt < retries ->
         Obs.instant "fleet.retry"
           ~args:
             [
-              ("job", Obs.Int w.w_job.index);
-              ("attempt", Obs.Int (w.attempt + 1));
+              ("job", Obs.Int t.t_job.index);
+              ("attempt", Obs.Int (t.attempt + 1));
               ("why", Obs.Str why);
             ];
-        emit (Job_retried { job = w.w_job; attempt = w.attempt + 1; why });
-        Queue.add (w.w_job, w.attempt + 1) pending
+        emit (Job_retried { job = t.t_job; attempt = t.attempt + 1; why });
+        Queue.add (t.pos, t.attempt + 1) pending
     | Error why ->
         Obs.count "fleet.failed_jobs";
-        Hashtbl.replace results w.w_job.index (Error why);
-        emit (Job_finished { job = w.w_job; result = Error why })
+        results.(t.pos) <- Some (Error why);
+        emit (Job_finished { job = t.t_job; result = Error why })
+  in
+  (* a worker is gone (it died, or was killed for a timeout or an
+     unframeable result): reap it and fail its job, if it had one *)
+  let bury ?why w =
+    close_quietly w.cmd;
+    close_quietly w.rfd;
+    let _, status = waitpid_retry w.pid in
+    pool := List.filter (fun x -> x != w) !pool;
+    Option.iter
+      (fun t ->
+        w.task <- None;
+        settle t
+          (Error
+             (match why with
+             | Some m -> m
+             | None when t.timed_out ->
+                 Printf.sprintf "timeout after %.1fs" (Option.value ~default:0. timeout_s)
+             | None -> death_reason status)))
+      w.task
+  in
+  (* consume what a busy worker wrote: heartbeat lines until the result
+     header, then the result once every section the header advertises
+     has arrived — the worker stays alive, so EOF never marks the end *)
+  let rec scan w =
+    match w.task with
+    | None -> ()
+    | Some t -> (
+        match t.header with
+        | Some (h, off) ->
+            let len = off + body_length h in
+            if Buffer.length w.buf >= len then begin
+              let body = Buffer.sub w.buf off (len - off) in
+              let rest = Buffer.sub w.buf len (Buffer.length w.buf - len) in
+              Buffer.clear w.buf;
+              Buffer.add_string w.buf rest;
+              w.task <- None;
+              settle t
+                (match decode_body h body with
+                | Ok d ->
+                    import_telemetry t d.telemetry;
+                    d.outcome
+                | Error m -> Error m)
+            end
+        | None -> (
+            let s = Buffer.contents w.buf in
+            match String.index_opt s '\n' with
+            | None -> ()
+            | Some i -> (
+                (* a result that cannot be framed leaves the pipe
+                   unusable for the next job too: the worker goes *)
+                let garbled m =
+                  kill_quietly w.pid;
+                  bury ~why:m w
+                in
+                match Json.parse (String.sub s 0 i) with
+                | exception Json.Parse_error m -> garbled ("bad worker header: " ^ m)
+                | j when Json.string_member "type" j = Some "hb" ->
+                    Buffer.clear w.buf;
+                    Buffer.add_substring w.buf s (i + 1) (String.length s - i - 1);
+                    emit
+                      (Job_heartbeat
+                         {
+                           job = t.t_job;
+                           hb_cycles = Option.value ~default:0 (Json.int_member "cycles" j);
+                           hb_covered = Option.value ~default:0 (Json.int_member "covered" j);
+                         });
+                    scan w
+                | h -> (
+                    match check_header h with
+                    | Ok h ->
+                        t.header <- Some (h, i + 1);
+                        scan w
+                    | Error m -> garbled m))))
+  in
+  (* hand waiting jobs to idle workers, forking while the pool is below
+     [jobs]: [min jobs n] forks up front, one more per death that leaves
+     jobs waiting *)
+  let rec fill () =
+    if not (Queue.is_empty pending) then
+      match List.find_opt (fun w -> not (busy w)) !pool with
+      | Some w ->
+          dispatch w (Queue.pop pending);
+          fill ()
+      | None when List.length !pool < jobs ->
+          dispatch (spawn ()) (Queue.pop pending);
+          fill ()
+      | None -> ()
+  in
+  (* idle workers exit on EOF on their command pipe; busy ones remain
+     only when this call raises, and are killed *)
+  let shutdown () =
+    List.iter
+      (fun w ->
+        if busy w then kill_quietly w.pid;
+        close_quietly w.cmd)
+      !pool;
+    List.iter
+      (fun w ->
+        close_quietly w.rfd;
+        try ignore (waitpid_retry w.pid) with Unix.Unix_error _ -> ())
+      !pool;
+    pool := []
   in
   let chunk = Bytes.create 65536 in
-  while (not (Queue.is_empty pending)) || !running <> [] do
-    while List.length !running < jobs && not (Queue.is_empty pending) do
-      spawn (Queue.pop pending)
-    done;
-    let readable = select_retry (List.map (fun w -> w.rfd) !running) 0.05 in
-    List.iter
-      (fun fd ->
-        match List.find_opt (fun w -> w.rfd = fd) !running with
-        | None -> ()
-        | Some w -> (
-            match Unix.read fd chunk 0 (Bytes.length chunk) with
-            | 0 -> finish w
-            | n ->
-                Buffer.add_subbytes w.buf chunk 0 n;
-                drain_heartbeats w
-            | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE | Unix.EBADF), _, _) ->
-                finish w))
-      readable;
-    (match timeout_s with
-    | None -> ()
-    | Some limit ->
-        let now = Unix.gettimeofday () in
+  let sigpipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
+  Fun.protect
+    ~finally:(fun () ->
+      shutdown ();
+      Sys.set_signal Sys.sigpipe sigpipe)
+    (fun () ->
+      while (not (Queue.is_empty pending)) || List.exists busy !pool do
+        fill ();
+        let readable = select_retry (List.map (fun w -> w.rfd) !pool) 0.05 in
         List.iter
-          (fun w ->
-            if (not w.timed_out) && now -. w.started > limit then begin
-              w.timed_out <- true;
-              Obs.instant "fleet.timeout"
-                ~args:
-                  [ ("job", Obs.Int w.w_job.index); ("attempt", Obs.Int (w.attempt + 1)) ];
-              try Unix.kill w.pid Sys.sigkill with _ -> ()
-            end)
-          !running)
-  done;
-  List.map
-    (fun j ->
-      match Hashtbl.find_opt results j.index with
-      | Some r -> (j, r)
-      | None -> (j, Error "job lost by the orchestrator"))
-    work
+          (fun fd ->
+            match List.find_opt (fun w -> w.rfd = fd) !pool with
+            | None -> ()
+            | Some w -> (
+                match Unix.read fd chunk 0 (Bytes.length chunk) with
+                | 0 -> bury w
+                | n ->
+                    Buffer.add_subbytes w.buf chunk 0 n;
+                    scan w
+                | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE | Unix.EBADF), _, _)
+                  ->
+                    bury w))
+          readable;
+        match timeout_s with
+        | None -> ()
+        | Some limit ->
+            let now = Unix.gettimeofday () in
+            List.iter
+              (fun w ->
+                match w.task with
+                | Some t when (not t.timed_out) && now -. t.dispatched > limit ->
+                    t.timed_out <- true;
+                    Obs.instant "fleet.timeout"
+                      ~args:
+                        [ ("job", Obs.Int t.t_job.index); ("attempt", Obs.Int (t.attempt + 1)) ];
+                    kill_quietly w.pid
+                | _ -> ())
+              !pool
+      done);
+  Array.to_list
+    (Array.mapi
+       (fun pos job ->
+         (job, Option.value ~default:(Error "job lost by the orchestrator") results.(pos)))
+       work)
 
 (* ------------------------------------------------------------------ *)
 (* Campaigns: waves of jobs over a database                             *)

@@ -1,8 +1,9 @@
 (** Parallel multi-backend campaign orchestrator.
 
-    Shards a deterministic job list (designs x backends x seeds, grouped
-    into waves) across [-j N] forked worker processes, collects each
-    worker's counts map over a pipe, and folds everything into a
+    Runs a deterministic job list (designs x backends x seeds, grouped
+    into waves) on a pool of [-j N] forked worker processes that each run
+    job after job, collects each job's counts map over a pipe, and folds
+    everything into a
     {!Sic_db.Db} coverage database. Failure-isolated: a crashed,
     timed-out or raising worker is retried and, if it keeps failing,
     recorded as a failed run — the campaign always completes. Between
@@ -65,7 +66,7 @@ type job = {
           point. Ignored elsewhere *)
   corpus : bytes list;
       (** extra initial fuzz seeds (e.g. witness-derived inputs); the
-          forked worker inherits them with the job record, so nothing
+          forked worker inherits them with the job list, so nothing
           crosses the pipe. Ignored outside [Fuzz] *)
 }
 
@@ -109,7 +110,9 @@ val run_job : ?progress:(cycles:int -> covered:int -> unit) -> job -> job_result
     and its absence decodes as a single-run job. Witness traces ride in
     the same way: [witness_bytes] frames one section per confirmed
     witness after the lane sections (a cover-name line, then the trace in
-    the {!Sic_sim.Replay.to_string} text). *)
+    the {!Sic_sim.Replay.to_string} text). A worker serves many jobs over
+    one pipe, so a result ends where its advertised lengths say, not at
+    EOF. *)
 
 val proto_version : int
 val encode_ok : job_result -> string
@@ -129,7 +132,8 @@ val decode : string -> (decoded, string) result
 (** {1 Job events} *)
 
 (** What the orchestrator reports as a campaign unfolds — consumed by
-    {!Progress} for [sic campaign --progress]. *)
+    {!Progress} for [sic campaign --progress]. [Job_started] fires when
+    the job is dispatched to a worker. *)
 type job_event =
   | Job_started of { job : job; attempt : int }
   | Job_heartbeat of { job : job; hb_cycles : int; hb_covered : int }
@@ -144,11 +148,22 @@ val run_jobs :
   ?on_event:(job_event -> unit) ->
   job list ->
   (job * (job_result, string) result) list
-(** Fork up to [jobs] workers at a time; retry crashes/timeouts/raises up
-    to [retries] extra attempts; never raises on worker death. Results
-    are in input order. [inject_crash] makes matching jobs' workers
-    SIGKILL themselves (the failure-isolation test hook); [on_event]
-    observes the live schedule. *)
+(** Run the jobs on a pool of [min jobs n] forked workers that lives
+    for this call. Each worker inherits the job list through the fork;
+    the parent dispatches one job at a time to an idle worker (a short
+    line naming the job's position), and the worker runs it and writes
+    its result, complete once every section its header advertises has
+    arrived. Retry crashes/timeouts/raises up to [retries] extra
+    attempts; [timeout_s] counts from dispatch; a worker that dies fails
+    only its own job and is replaced by a fresh one while jobs wait.
+    Never raises on worker death. Results are in input order, each equal
+    to what {!run_job} returns for the same job, whichever jobs its
+    worker ran before. [inject_crash] makes matching jobs' workers
+    SIGKILL themselves (the failure-isolation test hook); [on_event] observes the live schedule —
+    [Job_started] means "dispatched to a worker". Every worker is reaped
+    before this returns, and before it re-raises an exception from
+    [on_event]. With telemetry on, counts forks in
+    [fleet.workers_spawned]. *)
 
 (** {1 Campaigns} *)
 

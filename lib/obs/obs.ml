@@ -439,17 +439,30 @@ let chrome_trace_json ?pid ?tid () : Json.t =
   let local_lane =
     thread_name ~pid ~tid "main" :: List.map (event_json ~pid ~tid) (events ())
   in
-  let imported_lanes =
+  (* one named track per process: a process can ship several lanes (a
+     pooled fleet worker ships one per job), and a track keeps only one
+     name, so a pid with several lanes is named for the pid *)
+  let lanes = lanes () in
+  let track_names =
+    List.map
+      (fun pid ->
+        let label =
+          match List.filter (fun l -> l.lane_pid = pid) lanes with
+          | [ l ] -> l.lane_label
+          | _ -> Printf.sprintf "pid %d" pid
+        in
+        thread_name ~pid ~tid:pid label)
+      (List.sort_uniq compare (List.map (fun l -> l.lane_pid) lanes))
+  in
+  let imported_events =
     List.concat_map
-      (fun l ->
-        thread_name ~pid:l.lane_pid ~tid:l.lane_pid l.lane_label
-        :: List.map (event_json ~pid:l.lane_pid ~tid:l.lane_pid) l.lane_events)
-      (lanes ())
+      (fun l -> List.map (event_json ~pid:l.lane_pid ~tid:l.lane_pid) l.lane_events)
+      lanes
   in
   Json.Obj
     [
       ("displayTimeUnit", Json.String "ms");
-      ("traceEvents", Json.List (local_lane @ imported_lanes));
+      ("traceEvents", Json.List (local_lane @ track_names @ imported_events));
     ]
 
 let chrome_trace_string ?pid ?tid () = Json.to_string (chrome_trace_json ?pid ?tid ())

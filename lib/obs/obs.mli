@@ -67,7 +67,7 @@ val events : unit -> event list
     orchestrator as NDJSON over the result pipe; the parent imports each
     payload as one {b lane} — rebasing the worker's timestamps onto its own
     timestamp zero — so the exporters can render the whole [-j N] schedule
-    in a single merged trace, one Perfetto track per worker. *)
+    in a single merged trace, one Perfetto track per worker process. *)
 
 type lane = { lane_pid : int; lane_label : string; lane_events : event list }
 
@@ -159,10 +159,12 @@ val ndjson_string : unit -> string
 val chrome_trace_string : ?pid:int -> ?tid:int -> unit -> string
 (** A single JSON object in the Chrome trace-event format: spans as ["X"]
     (complete) events, gauges as ["C"] (counter) events, instants as ["i"],
-    plus ["M"] thread-name metadata labelling each lane. Local events land
-    on [pid]/[tid] (default: the real [Unix.getpid ()]); each imported lane
-    lands on its own [lane_pid] track. Loadable in [about://tracing] and
-    Perfetto. *)
+    plus ["M"] thread-name metadata naming each track. Local events land
+    on [pid]/[tid] (default: the real [Unix.getpid ()]); imported lanes
+    land on their [lane_pid] track, one track per distinct pid, named by
+    the lane's label when the pid shipped one lane and ["pid N"] when it
+    shipped several (a pooled fleet worker ships one lane per job).
+    Loadable in [about://tracing] and Perfetto. *)
 
 val pp_ndjson_line : string -> string
 (** Render one NDJSON telemetry line human-readably ([sic tail]'s

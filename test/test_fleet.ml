@@ -355,10 +355,197 @@ let test_campaign_lanes_independent () =
         (read_file (Filename.concat dir_l3 (a.Db.id ^ ".cnt"))))
     (Db.ok_runs db_l3) (Db.ok_runs db_solo)
 
+(* ------------------------------------------------------------------ *)
+(* The worker pool                                                      *)
+(* ------------------------------------------------------------------ *)
+
+module Obs = Sic_obs.Obs
+module Replay = Sic_sim.Replay
+module Timeline = Sic_coverage.Timeline
+
+(* [f] with telemetry recording from a clean slate, off again after *)
+let with_obs f =
+  Obs.reset ();
+  Obs.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.disable ();
+      Obs.reset ())
+    f
+
+(* every field of a result that is a function of the job *)
+let result_view (r : Fleet.job_result) =
+  ( Counts.to_string r.Fleet.counts,
+    r.Fleet.sim_cycles,
+    Option.map Timeline.to_string r.Fleet.timeline,
+    Option.map (fun d -> Profile.to_string [ d ]) r.Fleet.prof,
+    List.map (fun (name, tr) -> name ^ "\n" ^ Replay.to_string tr) r.Fleet.witnesses )
+
+let check_same_as_in_process what job outcome =
+  match outcome with
+  | Ok r ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: job %d = in-process run_job" what job.Fleet.index)
+        true
+        (result_view r = result_view (Fleet.run_job job))
+  | Error why -> Alcotest.failf "%s: job %d failed: %s" what job.Fleet.index why
+
+(* one of each job shape a worker can carry state between: sampled and
+   profiled compiled runs, a fuzz run with a corpus, a reachable and an
+   unreachable BMC witness job *)
+let mixed_jobs () =
+  let closefix = lower (fst (Line.instrument (Sic_designs.Closefix.circuit ()))) in
+  let base = List.hd (mk_jobs [ 7 ]) in
+  let bmc covers =
+    {
+      base with
+      Fleet.design = "closefix";
+      circuit = closefix;
+      backend = Fleet.Bmc_witness;
+      budget = 8;
+      covers;
+    }
+  in
+  List.mapi
+    (fun index j -> { j with Fleet.index })
+    [
+      { base with Fleet.sample_every = 50 };
+      { base with Fleet.profile = true; seed = 8 };
+      {
+        base with
+        Fleet.backend = Fleet.Fuzz;
+        budget = 40;
+        sample_every = 10;
+        corpus = [ Bytes.of_string "\x01\x02\x03\x04\x05\x06\x07\x08" ];
+      };
+      bmc [ "deep" ];
+      bmc [ "dead" ];
+    ]
+
+(* jobs run one after another in one worker return exactly what
+   in-process run_job returns for each, in either order, and each ships
+   its own telemetry only *)
+let test_worker_reuse_changes_nothing () =
+  let jobs = mixed_jobs () in
+  (match Fleet.run_job (List.nth jobs 4) with
+  | { Fleet.witnesses = []; counts; _ } ->
+      Alcotest.(check int) "the dead point is unreachable" 0 (Counts.get counts "dead")
+  | _ -> Alcotest.fail "the dead point has a witness");
+  List.iter
+    (fun (what, order) ->
+      with_obs (fun () ->
+          let results = Fleet.run_jobs ~jobs:1 order in
+          List.iter (fun (job, outcome) -> check_same_as_in_process what job outcome) results;
+          Alcotest.(check int) (what ^ ": one worker") 1
+            (Obs.counter_value "fleet.workers_spawned");
+          let job_spans (l : Obs.lane) =
+            List.filter_map
+              (function
+                | Obs.Span { name = "fleet.job"; args; _ } -> Some (List.assoc "job" args)
+                | _ -> None)
+              l.Obs.lane_events
+          in
+          let lanes = Obs.lanes () in
+          Alcotest.(check int) (what ^ ": one lane per job") (List.length jobs)
+            (List.length lanes);
+          List.iter2
+            (fun (job, _) (l : Obs.lane) ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s: job %d's lane holds its own fleet.job span only" what
+                   job.Fleet.index)
+                true
+                (job_spans l = [ Obs.Int job.Fleet.index ]))
+            results lanes))
+    [ ("forward", jobs); ("reversed", List.rev jobs) ]
+
+(* no child of this process is left, running or unreaped *)
+let check_no_children what =
+  match Unix.waitpid [ Unix.WNOHANG ] (-1) with
+  | exception Unix.Unix_error (Unix.ECHILD, _, _) -> ()
+  | 0, _ -> Alcotest.failf "%s: a worker is still running" what
+  | pid, _ -> Alcotest.failf "%s: worker %d was left unreaped" what pid
+
+(* long jobs, far past any timeout below: the fuzz job writes heartbeats
+   as it goes; the simulation job, with sampling off, writes nothing
+   until its result *)
+let long_job ?(backend = Fleet.Fuzz) index =
+  { (List.hd (mk_jobs ~backend ~budget:1_000_000_000 [ 9 ])) with Fleet.index }
+
+(* a worker that dies (crash or timeout kill) fails only its own job and
+   is replaced for the jobs still waiting *)
+let test_dead_worker_replaced () =
+  let check_rest what failing expect_prefix results =
+    List.iter
+      (fun (job, outcome) ->
+        if job.Fleet.index = failing then
+          match outcome with
+          | Error why ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s: %S starts with %S" what why expect_prefix)
+                true
+                (String.starts_with ~prefix:expect_prefix why)
+          | Ok _ -> Alcotest.failf "%s: job %d reported ok" what failing
+        else check_same_as_in_process what job outcome)
+      results;
+    Alcotest.(check int) (what ^ ": one fresh worker after the death") 2
+      (Obs.counter_value "fleet.workers_spawned")
+  in
+  with_obs (fun () ->
+      Fleet.run_jobs ~jobs:1 ~retries:0
+        ~inject_crash:(fun j -> j.Fleet.index = 1)
+        (mk_jobs [ 1; 2; 3; 4 ])
+      |> check_rest "crash" 1 "worker killed by signal SIGKILL");
+  with_obs (fun () ->
+      Fleet.run_jobs ~jobs:1 ~retries:0 ~timeout_s:0.5
+        (long_job 0 :: List.tl (mk_jobs [ 1; 2; 3 ]))
+      |> check_rest "timeout" 0 "timeout after")
+
+(* run_jobs reaps its whole pool on every way out *)
+let test_no_worker_outlives_run_jobs () =
+  ignore (Fleet.run_jobs ~jobs:2 (mk_jobs [ 1; 2; 3 ]));
+  check_no_children "normal return";
+  ignore
+    (Fleet.run_jobs ~jobs:2 ~retries:0 ~inject_crash:(fun j -> j.Fleet.index = 0)
+       (mk_jobs [ 1; 2; 3 ]));
+  check_no_children "after a crash";
+  ignore
+    (Fleet.run_jobs ~jobs:2 ~retries:0 ~timeout_s:0.3
+       (List.hd (mk_jobs [ 1 ]) :: [ long_job 1 ]));
+  check_no_children "after a timeout";
+  (* raising from the second dispatch leaves the first worker busy, on a
+     job that never writes to its pipe: only a kill ends it *)
+  let started = ref 0 in
+  let on_event = function
+    | Fleet.Job_started _ ->
+        incr started;
+        if !started = 2 then raise Exit
+    | _ -> ()
+  in
+  (match
+     Fleet.run_jobs ~jobs:2 ~on_event
+       (long_job ~backend:Fleet.Compiled 0 :: List.tl (mk_jobs [ 1; 2; 3 ]))
+   with
+  | _ -> Alcotest.fail "on_event's exception was swallowed"
+  | exception Exit -> ());
+  check_no_children "on_event raised";
+  (match
+     Fleet.run_jobs ~jobs:1
+       ~on_event:(function Fleet.Job_finished _ -> raise Exit | _ -> ())
+       (mk_jobs [ 1; 2 ])
+   with
+  | _ -> Alcotest.fail "on_event's exception was swallowed"
+  | exception Exit -> ());
+  check_no_children "on_event raised at a finish"
+
 let tests =
   [
     Alcotest.test_case "run_jobs: parallel = serial" `Quick test_run_jobs_parallel_equals_serial;
     Alcotest.test_case "run_jobs: crash isolation + retry" `Quick test_run_jobs_crash_isolated;
+    Alcotest.test_case "run_jobs: reusing a worker changes no result" `Quick
+      test_worker_reuse_changes_nothing;
+    Alcotest.test_case "run_jobs: a dead worker is replaced" `Quick test_dead_worker_replaced;
+    Alcotest.test_case "run_jobs: no worker outlives the call" `Quick
+      test_no_worker_outlives_run_jobs;
     Alcotest.test_case "run_job: bmc 0/1 semantics" `Quick test_bmc_job;
     Alcotest.test_case "run_job: timeline sampling" `Quick test_run_job_timeline;
     Alcotest.test_case "run_job: profile over the result pipe" `Quick test_profile_over_pipe;

@@ -288,6 +288,46 @@ let test_chrome_trace_export () =
             (List.tl events)
       | _ -> Alcotest.fail "traceEvents list present")
 
+(* a pooled fleet worker ships one lane per job from one pid: the trace
+   gets one named track per process, and every lane's events stay on it *)
+let test_chrome_trace_track_per_process () =
+  with_fake_clock (fun () ->
+      Obs.enable ();
+      let payload ~pid name =
+        Printf.sprintf
+          "{\"type\":\"meta\",\"version\":1,\"unit\":\"us\",\"pid\":%d,\"t0_us\":0.0}\n\
+           {\"type\":\"span\",\"name\":\"%s\",\"start_us\":1.0,\"dur_us\":1.0,\"depth\":0,\"args\":{}}\n"
+          pid name
+      in
+      Obs.import_events ~label:"job 0" (payload ~pid:4242 "a");
+      Obs.import_events ~label:"job 1" (payload ~pid:4242 "b");
+      Obs.import_events ~label:"solo" (payload ~pid:4343 "c");
+      match Json.member "traceEvents" (Json.parse (Obs.chrome_trace_string ~pid:1 ~tid:1 ())) with
+      | Some (Json.List events) ->
+          let str k e = match Json.member k e with Some (Json.String v) -> v | _ -> "?" in
+          let int k e = match Json.member k e with Some (Json.Int v) -> v | _ -> -1 in
+          let names =
+            List.filter_map
+              (fun e ->
+                if str "ph" e = "M" then
+                  match Json.member "args" e with
+                  | Some a -> Some (int "tid" e, str "name" a)
+                  | None -> None
+                else None)
+              events
+          in
+          Alcotest.(check (list (pair int string)))
+            "one thread_name per process"
+            [ (1, "main"); (4242, "pid 4242"); (4343, "solo") ]
+            names;
+          Alcotest.(check (list (pair string int)))
+            "every lane's span on its process track"
+            [ ("a", 4242); ("b", 4242); ("c", 4343) ]
+            (List.filter_map
+               (fun e -> if str "ph" e = "X" then Some (str "name" e, int "tid" e) else None)
+               events)
+      | _ -> Alcotest.fail "traceEvents list present")
+
 let test_sink_captures_simulator_prints () =
   (* Backend.print_sink is Obs.sink: swapping the one ref captures both
      simulator printf output and anything else routed through the sink *)
@@ -324,6 +364,8 @@ let tests =
     Alcotest.test_case "ndjson export round-trips" `Quick test_ndjson_export_round_trip;
     Alcotest.test_case "export/import round-trip" `Quick test_export_import_round_trip;
     Alcotest.test_case "chrome trace export" `Quick test_chrome_trace_export;
+    Alcotest.test_case "chrome trace: one track per process" `Quick
+      test_chrome_trace_track_per_process;
     Alcotest.test_case "one sink for all runtime output" `Quick
       test_sink_captures_simulator_prints;
     Alcotest.test_case "span stats grouping" `Quick test_span_stats;
