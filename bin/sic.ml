@@ -967,7 +967,7 @@ let push_campaign_runs ~url ~worker ~db_dir ~already =
 let campaign_worker_id () =
   Printf.sprintf "%s-%d" (try Unix.gethostname () with _ -> "local") (Unix.getpid ())
 
-(* Forward the orchestrator's protocol-v2 worker heartbeats to a running
+(* Forward the orchestrator's worker heartbeats to a running
    coverage server (POST /heartbeat) so its /watch subscribers see live
    per-worker health while the campaign runs. Strictly best-effort and
    wall-clock throttled: the first failure prints one warning and
@@ -1010,6 +1010,8 @@ let heartbeat_forwarder ~url ~worker : Fleet.job_event -> unit =
         end
     | _ -> ()
 
+let campaign_backend_names = String.concat ", " (List.map Fleet.backend_name Fleet.all_backends)
+
 let campaign_cmd =
   let db_arg =
     Arg.(
@@ -1033,8 +1035,8 @@ let campaign_cmd =
       & opt_all string [ "compiled" ]
       & info [ "backend" ] ~docv:"NAME"
           ~doc:
-            "Backend for the single default wave (repeatable): interp, compiled, essent, \
-             fpga, fuzz, bmc. Ignored when --waves is given.")
+            ("Backend for the single default wave (repeatable): " ^ campaign_backend_names
+           ^ ". Ignored when --waves is given."))
   in
   let waves_arg =
     Arg.(
@@ -1152,9 +1154,7 @@ let campaign_cmd =
           match Fleet.backend_of_string s with
           | Some b -> b
           | None ->
-              Printf.eprintf "unknown backend %s; available: interp, compiled, essent, \
-                              lanes, fpga, fuzz, bmc\n"
-                s;
+              Printf.eprintf "unknown backend %s; available: %s\n" s campaign_backend_names;
               exit 2
         in
         let waves =

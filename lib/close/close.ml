@@ -148,6 +148,11 @@ let close ?(log = fun (_ : string) -> ()) ?on_event ~(db : Db.t) (config : confi
     Fleet.run_jobs ~jobs:config.jobs ?timeout_s:config.timeout_s ~retries:config.retries
       ?on_event jobs
   in
+  (* every run lands with [wall_us = 0], so the manifest bytes do not
+     depend on -j *)
+  let commit (job, outcome) =
+    Fleet.commit db (job, Result.map (fun r -> { r with Fleet.wall_us = 0. }) outcome)
+  in
   let wave = ref 0 in
   let continue_ = ref true in
   while !continue_ do
@@ -173,14 +178,11 @@ let close ?(log = fun (_ : string) -> ()) ?on_event ~(db : Db.t) (config : confi
       let pending_exclusions = ref [] in
       (* commit in job order: ids, manifest and artifact are -j independent *)
       List.iter2
-        (fun point (job, outcome) ->
+        (fun point ((_, outcome) as result) ->
           match outcome with
           | Ok (r : Fleet.job_result) when r.Fleet.witnesses <> [] ->
               incr witnessed;
-              ignore
-                (Db.add db ~design:config.design ~backend:(Fleet.backend_name job.Fleet.backend)
-                   ~workload:(Fleet.workload_name job.Fleet.backend) ~seed:job.Fleet.seed
-                   ~cycles:config.bound ~wave:!wave ~wall_us:0. (Ok r.Fleet.counts));
+              commit result;
               List.iter
                 (fun (_, trace) -> corpus := !corpus @ [ Fuzzer.input_of_trace harness trace ])
                 r.Fleet.witnesses
@@ -194,12 +196,9 @@ let close ?(log = fun (_ : string) -> ()) ?on_event ~(db : Db.t) (config : confi
                   ex_wave = !wave;
                 }
                 :: !pending_exclusions
-          | Error why ->
+          | Error _ ->
               incr bmc_failed;
-              ignore
-                (Db.add db ~design:config.design ~backend:(Fleet.backend_name job.Fleet.backend)
-                   ~workload:(Fleet.workload_name job.Fleet.backend) ~seed:job.Fleet.seed
-                   ~cycles:config.bound ~wave:!wave ~wall_us:0. (Error why)))
+              commit result)
         uncovered results;
       let exclusions = List.rev !pending_exclusions in
       Db.add_exclusions db exclusions;
@@ -212,25 +211,20 @@ let close ?(log = fun (_ : string) -> ()) ?on_event ~(db : Db.t) (config : confi
             ~seed:(seed_of ~master:config.master_seed ~wave:!wave ~slot:999_983)
             ~budget:config.execs ~covers:[] ~corpus:!corpus
         in
-        match run_fleet [ job ] with
-        | [ (job, Ok r) ] ->
-            ignore
-              (Db.add db ~design:config.design ~backend:(Fleet.backend_name job.Fleet.backend)
-                 ~workload:(Fleet.workload_name job.Fleet.backend) ~seed:job.Fleet.seed
-                 ~cycles:config.execs ~wave:!wave ~wall_us:0. (Ok r.Fleet.counts));
-            fuzz_new :=
-              List.length
-                (List.filter
-                   (fun p ->
-                     Counts.get before_fuzz p < config.threshold
-                     && Counts.get r.Fleet.counts p >= config.threshold)
-                   uncovered)
-        | [ (job, Error why) ] ->
-            ignore
-              (Db.add db ~design:config.design ~backend:(Fleet.backend_name job.Fleet.backend)
-                 ~workload:(Fleet.workload_name job.Fleet.backend) ~seed:job.Fleet.seed
-                 ~cycles:config.execs ~wave:!wave ~wall_us:0. (Error why))
-        | _ -> ()
+        List.iter
+          (fun ((_, outcome) as result) ->
+            commit result;
+            match outcome with
+            | Ok (r : Fleet.job_result) ->
+                fuzz_new :=
+                  List.length
+                    (List.filter
+                       (fun p ->
+                         Counts.get before_fuzz p < config.threshold
+                         && Counts.get r.Fleet.counts p >= config.threshold)
+                       uncovered)
+            | Error _ -> ())
+          (run_fleet [ job ])
       end;
       let open_after = List.length (open_points ()) in
       let stats =

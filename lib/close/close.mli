@@ -55,10 +55,6 @@ type outcome = {
   elapsed_s : float;
 }
 
-val all_points : Sic_ir.Circuit.t -> string list
-(** Every cover point of the circuit (sorted), via a fresh compiled
-    backend's all-points-at-zero counts enumeration. *)
-
 val close :
   ?log:(string -> unit) ->
   ?on_event:(Sic_fleet.Fleet.job_event -> unit) ->

@@ -51,16 +51,9 @@ let backend_name = function
   | Bmc_witness -> "bmc-witness"
   | Lanes -> "lanes"
 
-let backend_of_string = function
-  | "interp" -> Some Interp
-  | "compiled" -> Some Compiled
-  | "essent" -> Some Essent
-  | "fpga" -> Some Fpga
-  | "fuzz" -> Some Fuzz
-  | "bmc" -> Some Bmc
-  | "bmc-witness" -> Some Bmc_witness
-  | "lanes" -> Some Lanes
-  | _ -> None
+let all_backends = [ Interp; Compiled; Essent; Lanes; Fpga; Fuzz; Bmc; Bmc_witness ]
+
+let backend_of_string s = List.find_opt (fun b -> backend_name b = s) all_backends
 
 (** What a backend runs as a workload, for the run record. *)
 let workload_name = function
@@ -268,99 +261,26 @@ let run_job ?progress (job : job) : job_result =
 (* The worker pool                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* Worker -> parent protocol, version 2 (documented in DESIGN.md): while
+(* Worker -> parent protocol, version 3 (documented in DESIGN.md): while
    running, the worker writes heartbeat lines
-   [{"type":"hb","job":i,"cycles":c,"covered":p}]; then exactly one result
-   header line whose [counts_bytes]/[timeline_bytes]/[telemetry_bytes]/
-   [profile_bytes] fields frame the sections that follow verbatim — the
-   counts map, timeline and engine profile in their own interchange
-   formats, and the worker's telemetry as an {!Obs.export_events} payload.
-   Reusing the existing text formats means no new parser and
-   human-debuggable pipes; the explicit protocol version means a
-   mixed-version parent/worker pair fails loudly instead of misparsing.
-   The profile section rode in on a length field rather than a version
-   bump: absent fields decode as zero-length sections, so a parent that
-   predates it skips the extra trailing bytes and one that postdates an
-   old worker sees no profile. A lane job's extra per-lane counts ride in
-   the same way: [lane_counts_bytes] is a JSON array of section lengths,
-   one ordinary counts section per lane beyond lane 0, appended after the
-   profile — absent means a single-run job, and each section is the same
-   v1 counts text a solo worker would have shipped. A [Bmc_witness] job's
-   confirmed traces ride in once more by the same trick: [witness_bytes]
-   frames one section per witness after the lane sections, each a cover
-   name line followed by the trace in the {!Replay.to_string} text.
+   [{"type":"hb","job":i,"cycles":c,"covered":p}]; then one result header
+   line [{"type":"result","proto":3,"bytes":n}] followed by [n] bytes of
+   [Marshal.to_string] of a {!decoded} value: the job's outcome and its
+   telemetry as an {!Obs.export_events} payload. Marshal is type-safe here
+   only because parent and worker are the same forked binary, so the
+   value's type is the same on both ends of the pipe; the text formats
+   (counts, timeline, profile, trace) stay for what leaves the process
+   tree. A new result field is one more field of [job_result].
 
-   A pooled worker outlives its job, so a result ends at the bytes the
-   header advertises ([body_length]), not at EOF, and the next job's
-   lines follow it. A section [body_length]
-   does not count would desynchronise the pipe, which is why a new one
-   is added there and in [decode_body] together (parent and worker are
-   one forked binary, so they never disagree). The other direction is
-   one dispatch line per job on the worker's command pipe:
+   A pooled worker outlives its job, so a result ends after the [n] bytes
+   its header advertises, not at EOF, and the next job's lines follow it.
+   The parent unmarshals only once all [n] bytes have arrived, so a worker
+   that dies mid-write never hands it a partial value. The other direction
+   is one dispatch line per job on the worker's command pipe:
    [<position> <crash>], the job's position in the list the worker
    inherited and the crash-injection flag. *)
 
-let proto_version = 2
-
-let encode_ok (r : job_result) : string =
-  let counts = Counts.to_string r.counts in
-  let timeline =
-    match r.timeline with Some tl -> Timeline.to_string tl | None -> ""
-  in
-  let telemetry = if Obs.on () then Obs.export_events () else "" in
-  let profile = match r.prof with Some d -> Profile.to_string [ d ] | None -> "" in
-  let lane_sections = List.map Counts.to_string r.lane_extra in
-  let lane_field =
-    match lane_sections with
-    | [] -> []
-    | ss ->
-        [
-          ( "lane_counts_bytes",
-            Json.List (List.map (fun s -> Json.Int (String.length s)) ss) );
-        ]
-  in
-  let witness_sections =
-    List.map (fun (name, tr) -> name ^ "\n" ^ Replay.to_string tr) r.witnesses
-  in
-  let witness_field =
-    match witness_sections with
-    | [] -> []
-    | ss ->
-        [
-          ( "witness_bytes",
-            Json.List (List.map (fun s -> Json.Int (String.length s)) ss) );
-        ]
-  in
-  Json.to_string
-    (Json.Obj
-       ([
-          ("type", Json.String "result");
-          ("proto", Json.Int proto_version);
-          ("status", Json.String "ok");
-          ("sim_cycles", Json.Int r.sim_cycles);
-          ("wall_us", Json.Float r.wall_us);
-          ("counts_bytes", Json.Int (String.length counts));
-          ("timeline_bytes", Json.Int (String.length timeline));
-          ("telemetry_bytes", Json.Int (String.length telemetry));
-          ("profile_bytes", Json.Int (String.length profile));
-        ]
-       @ lane_field @ witness_field))
-  ^ "\n" ^ counts ^ timeline ^ telemetry ^ profile
-  ^ String.concat "" lane_sections
-  ^ String.concat "" witness_sections
-
-let encode_failed (why : string) : string =
-  let telemetry = if Obs.on () then Obs.export_events () else "" in
-  Json.to_string
-    (Json.Obj
-       [
-         ("type", Json.String "result");
-         ("proto", Json.Int proto_version);
-         ("status", Json.String "failed");
-         ("error", Json.String why);
-         ("telemetry_bytes", Json.Int (String.length telemetry));
-       ])
-  ^ "\n" ^ telemetry
+let proto_version = 3
 
 type decoded = {
   outcome : (job_result, string) result;
@@ -368,89 +288,43 @@ type decoded = {
   telemetry : string;  (** {!Obs.import_events} payload; [""] when off *)
 }
 
-(* a parsed result header, checked against this orchestrator's protocol *)
-let check_header (h : Json.t) : (Json.t, string) result =
-  match Json.int_member "proto" h with
-  | Some v when v <> proto_version ->
+(* the result header and body of one job, with this worker's telemetry *)
+let encode outcome : string =
+  let body =
+    Marshal.to_string
+      { outcome; telemetry = (if Obs.on () then Obs.export_events () else "") }
+      []
+  in
+  Json.to_string
+    (Json.Obj
+       [
+         ("type", Json.String "result");
+         ("proto", Json.Int proto_version);
+         ("bytes", Json.Int (String.length body));
+       ])
+  ^ "\n" ^ body
+
+let encode_ok (r : job_result) : string = encode (Ok r)
+
+(* a parsed result header, checked against this orchestrator's protocol:
+   the length of the body that follows it *)
+let body_length (h : Json.t) : (int, string) result =
+  match (Json.int_member "proto" h, Json.int_member "bytes" h) with
+  | Some v, _ when v <> proto_version ->
       Error (Printf.sprintf "worker speaks protocol %d, this orchestrator speaks %d" v proto_version)
-  | None -> Error "worker header lacks a protocol version"
-  | Some _ -> Ok h
+  | None, _ -> Error "worker header lacks a protocol version"
+  | Some _, Some n when n >= 0 -> Ok n
+  | Some _, _ -> Error "worker header lacks a body length"
 
-let section_len h k = Option.value ~default:0 (Json.int_member k h)
-
-let section_lens h k =
-  match Json.member k h with
-  | Some (Json.List l) -> List.map (function Json.Int n -> n | _ -> 0) l
-  | _ -> []
-
-(* the bytes a header frames after its own line: where a result ends *)
-let body_length h =
-  section_len h "counts_bytes" + section_len h "timeline_bytes"
-  + section_len h "telemetry_bytes" + section_len h "profile_bytes"
-  + List.fold_left ( + ) 0 (section_lens h "lane_counts_bytes")
-  + List.fold_left ( + ) 0 (section_lens h "witness_bytes")
-
-(* a result whose header already parsed; [body] holds at least the
-   advertised sections *)
-let decode_body h (body : string) : (decoded, string) result =
-  let fail fmt = Printf.ksprintf (fun m -> Error m) fmt in
-  let want = body_length h in
-  if String.length body < want then
-    fail "truncated worker body (%d of %d bytes)" (String.length body) want
-  else
-    let off = ref 0 in
-    let take n =
-      let s = String.sub body !off n in
-      off := !off + n;
-      s
-    in
-    let counts_s = take (section_len h "counts_bytes") in
-    let timeline_s = take (section_len h "timeline_bytes") in
-    let telemetry = take (section_len h "telemetry_bytes") in
-    let profile_s = take (section_len h "profile_bytes") in
-    let lane_sections = List.map take (section_lens h "lane_counts_bytes") in
-    let witness_sections = List.map take (section_lens h "witness_bytes") in
-    let witness_of_section s =
-      match String.index_opt s '\n' with
-      | None -> raise (Artifact.Bad_format "witness section lacks a name line")
-      | Some i ->
-          (String.sub s 0 i, Replay.of_string (String.sub s (i + 1) (String.length s - i - 1)))
-    in
-    match Json.string_member "status" h with
-    | Some "ok" -> (
-        match
-          ( Counts.of_string counts_s,
-            (if timeline_s = "" then None else Some (Timeline.of_string timeline_s)),
-            (if profile_s = "" then None
-             else match Profile.of_string profile_s with [ d ] -> Some d | _ -> None),
-            List.map Counts.of_string lane_sections,
-            List.map witness_of_section witness_sections )
-        with
-        | counts, timeline, prof, lane_extra, witnesses ->
-            Ok
-              {
-                outcome =
-                  Ok
-                    {
-                      counts;
-                      lane_extra;
-                      timeline;
-                      prof;
-                      witnesses;
-                      sim_cycles = Option.value ~default:0 (Json.int_member "sim_cycles" h);
-                      wall_us = Option.value ~default:0. (Json.float_member "wall_us" h);
-                    };
-                telemetry;
-              }
-        | exception Artifact.Bad_format m -> fail "bad worker result: %s" m)
-    | Some "failed" ->
-        Ok
-          {
-            outcome = Error (Option.value ~default:"unknown" (Json.string_member "error" h));
-            telemetry;
-          }
-    | Some s -> fail "unknown worker status %s" s
-    | None -> fail "worker header lacks a status"
+(* a complete body: exactly the bytes its header advertised *)
+let decode_body (body : string) : (decoded, string) result =
+  match
+    if Marshal.total_size (Bytes.unsafe_of_string body) 0 <> String.length body then
+      failwith "its length disagrees with its contents";
+    (Marshal.from_string body 0 : decoded)
+  with
+  | d -> Ok d
+  | exception (Failure m | Invalid_argument m) -> Error ("bad worker result: " ^ m)
 
 let decode (payload : string) : (decoded, string) result =
   match String.index_opt payload '\n' with
@@ -459,8 +333,11 @@ let decode (payload : string) : (decoded, string) result =
       match Json.parse (String.sub payload 0 i) with
       | exception Json.Parse_error m -> Error ("bad worker header: " ^ m)
       | h ->
-          Result.bind (check_header h) (fun h ->
-              decode_body h (String.sub payload (i + 1) (String.length payload - i - 1))))
+          Result.bind (body_length h) (fun n ->
+              let have = String.length payload - i - 1 in
+              if have < n then
+                Error (Printf.sprintf "truncated worker body (%d of %d bytes)" have n)
+              else decode_body (String.sub payload (i + 1) n)))
 
 (* A write after the parent closed the result pipe raises
    Unix_error (EPIPE) rather than killing the worker: sic ignores SIGPIPE
@@ -502,9 +379,9 @@ let run_in_worker (job : job) (wfd : Unix.file_descr) : string =
         ^ "\n")
     end
   in
-  try
-    encode_ok
-      (Obs.span "fleet.job"
+  encode
+    (match
+       Obs.span "fleet.job"
          ~args:
            [
              ("job", Obs.Int job.index);
@@ -512,8 +389,10 @@ let run_in_worker (job : job) (wfd : Unix.file_descr) : string =
              ("backend", Obs.Str (backend_name job.backend));
              ("seed", Obs.Int job.seed);
            ]
-         (fun () -> run_job ~progress job))
-  with e -> encode_failed (Printexc.to_string e)
+         (fun () -> run_job ~progress job)
+     with
+    | r -> Ok r
+    | exception e -> Error (Printexc.to_string e))
 
 (** What a forked worker does: read a dispatch line [<position> <crash>]
     off [cmd], run [work.(position)], write its heartbeats and result to
@@ -551,9 +430,9 @@ type task = {
   dispatched : float;  (** wall clock, for the timeout *)
   t_start_us : float;  (** on the telemetry clock, for the attempt span *)
   mutable timed_out : bool;
-  mutable header : (Json.t * int) option;
-      (** the result header and the offset in the worker's buffer where
-          its sections start, once the header has arrived *)
+  mutable body : (int * int) option;
+      (** the offset in the worker's buffer where the result body starts
+          and the body's advertised length, once the header has arrived *)
 }
 
 type worker = {
@@ -660,7 +539,7 @@ let run_jobs ?(jobs = 1) ?timeout_s ?(retries = 1) ?(inject_crash = fun _ -> fal
           dispatched = Unix.gettimeofday ();
           t_start_us = Obs.now_us ();
           timed_out = false;
-          header = None;
+          body = None;
         };
     (* a worker that died idle fails this write; its result pipe then
        reports the death *)
@@ -738,23 +617,23 @@ let run_jobs ?(jobs = 1) ?timeout_s ?(retries = 1) ?(inject_crash = fun _ -> fal
       w.task
   in
   (* consume what a busy worker wrote: heartbeat lines until the result
-     header, then the result once every section the header advertises
-     has arrived — the worker stays alive, so EOF never marks the end *)
+     header, then the result once every byte the header advertises has
+     arrived — the worker stays alive, so EOF never marks the end *)
   let rec scan w =
     match w.task with
     | None -> ()
     | Some t -> (
-        match t.header with
-        | Some (h, off) ->
-            let len = off + body_length h in
+        match t.body with
+        | Some (off, n) ->
+            let len = off + n in
             if Buffer.length w.buf >= len then begin
-              let body = Buffer.sub w.buf off (len - off) in
+              let body = Buffer.sub w.buf off n in
               let rest = Buffer.sub w.buf len (Buffer.length w.buf - len) in
               Buffer.clear w.buf;
               Buffer.add_string w.buf rest;
               w.task <- None;
               settle t
-                (match decode_body h body with
+                (match decode_body body with
                 | Ok d ->
                     import_telemetry t d.telemetry;
                     d.outcome
@@ -785,9 +664,9 @@ let run_jobs ?(jobs = 1) ?timeout_s ?(retries = 1) ?(inject_crash = fun _ -> fal
                          });
                     scan w
                 | h -> (
-                    match check_header h with
-                    | Ok h ->
-                        t.header <- Some (h, i + 1);
+                    match body_length h with
+                    | Ok n ->
+                        t.body <- Some (i + 1, n);
                         scan w
                     | Error m -> garbled m))))
   in
@@ -914,6 +793,27 @@ let default_spec =
     timeline_every = 100;
     profile = false;
   }
+
+(** Record one job's outcome in [db], in lane order: a lane job lands one
+    run per lane, exactly the records its runs would have landed solo,
+    with the job's wall time split evenly across them (lane 0 keeps the
+    timeline); a failed job lands one failed run per lane. *)
+let commit (db : Db.t) ((job : job), outcome) =
+  let seeds = Array.append [| job.seed |] job.lane_seeds in
+  let add ?wall_us ?timeline seed counts =
+    ignore
+      (Db.add db ~design:job.design ~circuit_hash:job.circuit_hash
+         ~backend:(backend_name job.backend) ~workload:(workload_name job.backend) ~seed
+         ~cycles:job.budget ~wave:job.wave ?wall_us ?timeline counts)
+  in
+  match outcome with
+  | Ok (r : job_result) ->
+      let wall_us = r.wall_us /. float_of_int (Array.length seeds) in
+      List.iteri
+        (fun l c ->
+          add ~wall_us ?timeline:(if l = 0 then r.timeline else None) seeds.(l) (Ok c))
+        (r.counts :: r.lane_extra)
+  | Error why -> Array.iter (fun s -> add s (Error why)) seeds
 
 let lanes_per_job (spec : spec) = max 1 (min 62 spec.lanes)
 
@@ -1190,37 +1090,18 @@ let run_campaign ?(inject_crash = fun _ -> false) ?on_event ~(db : Db.t) (spec :
           ~inject_crash:(fun j -> inject_crash j.index)
           ?on_event wave_jobs
       in
-      (* wave barrier: commit in (job, lane) order, so the manifest is as
-         deterministic as the aggregate — a lane job lands one run record
-         per lane, exactly the records its runs would have landed solo *)
+      (* wave barrier: commit in job order, so the manifest is as
+         deterministic as the aggregate *)
       Obs.span "fleet.merge" ~args:[ ("wave", Obs.Int wave_idx) ] (fun () ->
           List.iter
-            (fun (job, outcome) ->
-              let seeds = Array.append [| job.seed |] job.lane_seeds in
-              let commits =
-                match outcome with
-                | Ok (r : job_result) ->
-                    incr ok;
-                    sim_cycles_total := !sim_cycles_total + r.sim_cycles;
-                    Option.iter (add_profile job.circuit_hash) r.prof;
-                    let share = r.wall_us /. float_of_int (Array.length seeds) in
-                    List.mapi
-                      (fun l c ->
-                        (seeds.(l), Ok c, share, if l = 0 then r.timeline else None))
-                      (r.counts :: r.lane_extra)
-                | Error why ->
-                    incr failed;
-                    Array.to_list
-                      (Array.map (fun s -> (s, Error why, 0., None)) seeds)
-              in
-              List.iter
-                (fun (seed, outcome, wall_us, timeline) ->
-                  ignore
-                    (Db.add db ~design:job.design ~circuit_hash:job.circuit_hash
-                       ~backend:(backend_name job.backend)
-                       ~workload:(workload_name job.backend) ~seed ~cycles:job.budget
-                       ~wave:job.wave ~wall_us ?timeline outcome))
-                commits)
+            (fun ((job, outcome) as result) ->
+              (match outcome with
+              | Ok (r : job_result) ->
+                  incr ok;
+                  sim_cycles_total := !sim_cycles_total + r.sim_cycles;
+                  Option.iter (add_profile job.circuit_hash) r.prof
+              | Error _ -> incr failed);
+              commit db result)
             results);
       let agg = Db.aggregate db in
       Obs.gauge "fleet.points_remaining"

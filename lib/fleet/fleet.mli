@@ -36,8 +36,12 @@ type backend = Interp | Compiled | Essent | Fpga | Fuzz | Bmc | Bmc_witness | La
     record {e per lane}. *)
 
 val backend_name : backend -> string
+
+val all_backends : backend list
+(** Every backend, in the order [sic campaign] lists their names. *)
+
 val backend_of_string : string -> backend option
-val workload_name : backend -> string
+(** The backend whose {!backend_name} is the string. *)
 
 type job = {
   index : int;  (** global position in the campaign's job list *)
@@ -98,25 +102,17 @@ val run_job : ?progress:(cycles:int -> covered:int -> unit) -> job -> job_result
 
 (** {1 Worker protocol}
 
-    Workers talk to the orchestrator over a pipe in protocol version 2:
-    heartbeat lines while running, then one result header line that
-    byte-length-frames the counts, timeline, telemetry and engine-profile
-    sections following it (see DESIGN.md, "Worker protocol"). [decode]
-    rejects payloads from a different protocol version; a missing
-    [profile_bytes] field decodes as an empty section, so the profile
-    extension needed no version bump — and neither did the lane
-    extension: [lane_counts_bytes] (a JSON array of section lengths)
-    frames one ordinary counts section per extra lane after the profile,
-    and its absence decodes as a single-run job. Witness traces ride in
-    the same way: [witness_bytes] frames one section per confirmed
-    witness after the lane sections (a cover-name line, then the trace in
-    the {!Sic_sim.Replay.to_string} text). A worker serves many jobs over
-    one pipe, so a result ends where its advertised lengths say, not at
-    EOF. *)
+    Workers talk to the orchestrator over a pipe in protocol version 3:
+    heartbeat lines while running, then one result header line
+    [{"type":"result","proto":3,"bytes":n}] followed by [n] bytes of
+    [Marshal] output holding a {!decoded} value (see DESIGN.md, "Worker
+    protocol"). Marshal is type-safe here only because parent and worker
+    are the same forked binary. A worker serves many jobs over one pipe,
+    so a result ends after its [n] bytes, not at EOF. *)
 
-val proto_version : int
 val encode_ok : job_result -> string
-val encode_failed : string -> string
+(** The payload a worker writes for a successful job, with the worker's
+    telemetry when it is on. *)
 
 type decoded = {
   outcome : (job_result, string) result;
@@ -126,8 +122,9 @@ type decoded = {
 }
 
 val decode : string -> (decoded, string) result
-(** Parse a worker payload starting at its result header ([Error] on
-    malformed, truncated or wrong-protocol payloads). *)
+(** Parse a worker payload starting at its result header. Malformed,
+    truncated or wrong-protocol payloads, and bodies that are not this
+    binary's Marshal output, decode to [Error]; [decode] never raises. *)
 
 (** {1 Job events} *)
 
@@ -152,7 +149,7 @@ val run_jobs :
     for this call. Each worker inherits the job list through the fork;
     the parent dispatches one job at a time to an idle worker (a short
     line naming the job's position), and the worker runs it and writes
-    its result, complete once every section its header advertises has
+    its result, complete once every byte its header advertises has
     arrived. Retry crashes/timeouts/raises up to [retries] extra
     attempts; [timeout_s] counts from dispatch; a worker that dies fails
     only its own job and is replaced by a fresh one while jobs wait.
@@ -164,6 +161,12 @@ val run_jobs :
     before this returns, and before it re-raises an exception from
     [on_event]. With telemetry on, counts forks in
     [fleet.workers_spawned]. *)
+
+val commit : Sic_db.Db.t -> job * (job_result, string) result -> unit
+(** Record one job's outcome in the database, one run per lane in lane
+    order (a single run outside [Lanes]): [Ok] lands each lane's counts
+    with the job's wall time split evenly across the lanes, lane 0
+    keeping the timeline; [Error] lands one failed run per lane. *)
 
 (** {1 Campaigns} *)
 
@@ -196,9 +199,6 @@ type spec = {
 val default_spec : spec
 (** One [Compiled] wave, 1 seed, 1000 cycles, [-j 1], threshold 1,
     timelines sampled every 100 budget units, profiling off. *)
-
-val lanes_per_job : spec -> int
-(** [spec.lanes] clamped to the engine's [1, 62] range. *)
 
 val spec_total_jobs : spec -> int
 (** How many jobs the spec will enumerate, before running any — a [Lanes]

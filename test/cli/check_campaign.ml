@@ -1,5 +1,7 @@
 (* CLI regression for [sic campaign] / [sic db]: the coverage database a
-   campaign produces must be byte-for-byte independent of -j, a crashed
+   campaign produces must be byte-for-byte independent of -j (on a plain
+   campaign, and on one whose waves carry every result shape a worker
+   ships back: lane jobs, timelines, fuzz and BMC-witness runs), a crashed
    worker must be recorded as a failed run without killing the campaign,
    and [sic db rank] must pick a run subset whose merged coverage equals
    the full aggregate.
@@ -34,34 +36,48 @@ let campaign_args =
   "--design gcd --design fifo --design counter --backend compiled --backend interp \
    --seeds 1 --cycles 300 --seed 7"
 
-let () =
-  (match Sys.argv with [| _; exe |] -> sic := exe | _ -> fail "usage: check_campaign.exe SIC.exe");
-  (* the same campaign at -j 1 and -j 4: 3 designs x 2 backends *)
-  run "campaign --db db_j1 -j 1 %s" campaign_args;
-  run "campaign --db db_j4 -j 4 %s" campaign_args;
-  (* every counts file — per-run and the cached aggregate — byte-identical *)
+(* few cycles and execs leave points open for every wave after the first *)
+let shapes_args =
+  "--design counter --design uart --waves 'interp+lanes,fuzz,bmc-witness' --lanes 2 \
+   --seeds 3 --cycles 5 --execs 20 --seed 7"
+
+(* run [args] at -j 1 and -j 4 into [<name>_j1] and [<name>_j4]: every
+   counts and timeline file — per-run and the cached aggregate — must be
+   byte-identical, and the manifests agree on everything but wall time.
+   Returns the -j 4 database and the -j 1 run count. *)
+let check_j_independent name args =
+  let d1 = name ^ "_j1" and d4 = name ^ "_j4" in
+  run "campaign --db %s -j 1 %s" d1 args;
+  run "campaign --db %s -j 4 %s" d4 args;
   let cnt_files dir =
     Sys.readdir dir |> Array.to_list
     |> List.filter (fun f ->
            Filename.check_suffix f ".cnt" || Filename.check_suffix f ".tl")
     |> List.sort compare
   in
-  let f1 = cnt_files "db_j1" and f4 = cnt_files "db_j4" in
+  let f1 = cnt_files d1 and f4 = cnt_files d4 in
   if f1 <> f4 then fail "different counts files: [%s] vs [%s]" (String.concat " " f1) (String.concat " " f4);
-  if not (List.mem "aggregate.cnt" f1) then fail "no aggregate.cnt in db_j1";
+  if not (List.mem "aggregate.cnt" f1) then fail "no aggregate.cnt in %s" d1;
   if not (List.exists (fun f -> Filename.check_suffix f ".tl") f1) then
-    fail "no convergence timelines persisted in db_j1";
+    fail "no convergence timelines persisted in %s" d1;
   List.iter
     (fun f ->
-      let a = read_file (Filename.concat "db_j1" f) and b = read_file (Filename.concat "db_j4" f) in
-      if a <> b then fail "%s differs between -j 1 and -j 4" f)
+      let a = read_file (Filename.concat d1 f) and b = read_file (Filename.concat d4 f) in
+      if a <> b then fail "%s: %s differs between -j 1 and -j 4" name f)
     f1;
-  (* manifests agree on everything but wall time *)
   let view db = List.map (fun r -> { r with Db.wall_us = 0. }) (Db.runs db) in
-  let db1 = Db.load "db_j1" and db4 = Db.load "db_j4" in
-  if view db1 <> view db4 then fail "manifests differ between -j 1 and -j 4";
-  if List.length (Db.runs db1) <> 6 then
-    fail "expected 6 runs (3 designs x 2 backends), got %d" (List.length (Db.runs db1));
+  let db1 = Db.load d1 and db4 = Db.load d4 in
+  if view db1 <> view db4 then fail "%s: manifests differ between -j 1 and -j 4" name;
+  (db4, List.length (Db.runs db1))
+
+let () =
+  (match Sys.argv with [| _; exe |] -> sic := exe | _ -> fail "usage: check_campaign.exe SIC.exe");
+  (* 3 designs x 2 backends *)
+  let db4, runs = check_j_independent "db" campaign_args in
+  if runs <> 6 then fail "expected 6 runs (3 designs x 2 backends), got %d" runs;
+  (* 2 designs x 4 backends over 3 waves x 3 runs each *)
+  let _, runs = check_j_independent "shapes" shapes_args in
+  if runs <> 24 then fail "expected 24 runs (2 designs x 4 backends x 3 seeds), got %d" runs;
   (* an injected worker crash: recorded as a failed run, campaign completes
      — and the exhausted retries surface as a nonzero exit for CI *)
   run_expect 1

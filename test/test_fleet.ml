@@ -239,8 +239,8 @@ let test_campaign_crash_survival () =
   Alcotest.(check bool) "surviving runs still aggregated" true
     (Counts.covered (Db.aggregate db) <> [])
 
-(* a profiled job ships its engine profile through the byte-framed result
-   pipe without disturbing the coverage counts *)
+(* a profiled job ships its engine profile through the result pipe
+   without disturbing the coverage counts *)
 let test_profile_over_pipe () =
   let job = { (List.hd (mk_jobs [ 5 ])) with Fleet.profile = true } in
   let r = Fleet.run_job job in
@@ -258,7 +258,7 @@ let test_profile_over_pipe () =
           Alcotest.(check string) "profile survives the pipe byte-exactly"
             (Profile.to_string [ dp ])
             (Profile.to_string [ d ])
-      | None -> Alcotest.fail "profile section lost in decode")
+      | None -> Alcotest.fail "profile lost in decode")
   | Ok { Fleet.outcome = Error e; _ } | Error e -> Alcotest.fail e);
   let plain = Fleet.run_job (List.hd (mk_jobs [ 5 ])) in
   Alcotest.(check bool) "counts unaffected by profiling" true
@@ -291,7 +291,7 @@ let test_campaign_profile_j_independent () =
 
 (* a lane job is k solo runs advanced bit-parallel: each lane's counts
    equal the solo compiled run's over the same seed, and the extra lanes
-   survive the byte-framed result pipe *)
+   survive the result pipe *)
 let test_lanes_job_over_pipe () =
   let seeds = [ 11; 22; 33 ] in
   let lane_job =
@@ -314,10 +314,55 @@ let test_lanes_job_over_pipe () =
   | Ok { Fleet.outcome = Ok r'; _ } ->
       List.iter2
         (fun a b ->
-          Alcotest.(check bool) "lane section survives the pipe" true (Counts.equal a b))
+          Alcotest.(check bool) "lane counts survive the pipe" true (Counts.equal a b))
         (r.Fleet.counts :: r.Fleet.lane_extra)
         (r'.Fleet.counts :: r'.Fleet.lane_extra)
   | Ok { Fleet.outcome = Error e; _ } | Error e -> Alcotest.fail e
+
+(* the parent hands a result on only when it is whole and this binary's
+   own: every strict prefix of a real payload, a header of another
+   protocol version, and a body that is not exactly one Marshal value all
+   decode to [Error], and none of them raises *)
+let test_decode_rejects_partial_and_foreign () =
+  let frame ?(proto = 3) body =
+    Printf.sprintf "{\"type\":\"result\",\"proto\":%d,\"bytes\":%d}\n%s" proto
+      (String.length body) body
+  in
+  let lane_result =
+    match mk_jobs ~backend:Fleet.Lanes [ 11 ] with
+    | [ j ] -> Fleet.run_job { j with Fleet.lane_seeds = [| 22; 33 |] }
+    | _ -> assert false
+  in
+  let failed_body = Marshal.to_string { Fleet.outcome = Error "boom"; telemetry = "" } [] in
+  let rejects what payload =
+    match Fleet.decode payload with
+    | Error _ -> ()
+    | Ok _ -> Alcotest.failf "%s decoded" what
+    | exception e -> Alcotest.failf "%s raised %s" what (Printexc.to_string e)
+  in
+  List.iter
+    (fun (what, payload, expect) ->
+      (match Fleet.decode payload with
+      | Ok { Fleet.outcome; _ } ->
+          Alcotest.(check bool) (what ^ ": the whole payload decodes") true (expect outcome)
+      | Error e -> Alcotest.failf "%s: %s" what e);
+      for n = 0 to String.length payload - 1 do
+        rejects (Printf.sprintf "%s cut to %d bytes" what n) (String.sub payload 0 n)
+      done)
+    [
+      ( "lane result",
+        Fleet.encode_ok lane_result,
+        function
+        | Ok r -> List.length r.Fleet.lane_extra = 2
+        | Error _ -> false );
+      ("failed result", frame failed_body, fun o -> o = Error "boom");
+    ];
+  rejects "a protocol-2 header" (frame ~proto:2 failed_body);
+  rejects "a counts text body" (frame (Counts.to_string lane_result.Fleet.counts));
+  rejects "a one-byte body" (frame "x");
+  rejects "a body longer than its Marshal value" (frame (failed_body ^ "x"));
+  rejects "a header without a length"
+    ("{\"type\":\"result\",\"proto\":3}\n" ^ failed_body)
 
 (* the database is a function of (designs, seeds, master seed) only:
    packing runs into lane jobs — at any -j — moves no byte of it, and the
@@ -376,23 +421,36 @@ let with_obs f =
 (* every field of a result that is a function of the job *)
 let result_view (r : Fleet.job_result) =
   ( Counts.to_string r.Fleet.counts,
+    List.map Counts.to_string r.Fleet.lane_extra,
     r.Fleet.sim_cycles,
     Option.map Timeline.to_string r.Fleet.timeline,
     Option.map (fun d -> Profile.to_string [ d ]) r.Fleet.prof,
     List.map (fun (name, tr) -> name ^ "\n" ^ Replay.to_string tr) r.Fleet.witnesses )
 
+(* a worker's outcome is what in-process run_job returns, or the text of
+   the exception it raises *)
 let check_same_as_in_process what job outcome =
-  match outcome with
-  | Ok r ->
+  let in_process =
+    match Fleet.run_job job with
+    | r -> Ok (result_view r)
+    | exception e -> Error (Printexc.to_string e)
+  in
+  match (Result.map result_view outcome, in_process) with
+  | Ok a, Ok b ->
       Alcotest.(check bool)
         (Printf.sprintf "%s: job %d = in-process run_job" what job.Fleet.index)
-        true
-        (result_view r = result_view (Fleet.run_job job))
-  | Error why -> Alcotest.failf "%s: job %d failed: %s" what job.Fleet.index why
+        true (a = b)
+  | Error a, Error b ->
+      Alcotest.(check string)
+        (Printf.sprintf "%s: job %d fails as in process" what job.Fleet.index)
+        b a
+  | Error why, Ok _ -> Alcotest.failf "%s: job %d failed: %s" what job.Fleet.index why
+  | Ok _, Error why -> Alcotest.failf "%s: job %d succeeded, in process: %s" what job.Fleet.index why
 
 (* one of each job shape a worker can carry state between: sampled and
    profiled compiled runs, a fuzz run with a corpus, a reachable and an
-   unreachable BMC witness job *)
+   unreachable BMC witness job, a lane job, and a job whose run_job raises
+   (an FPGA scan chain of width 0) *)
 let mixed_jobs () =
   let closefix = lower (fst (Line.instrument (Sic_designs.Closefix.circuit ()))) in
   let base = List.hd (mk_jobs [ 7 ]) in
@@ -420,6 +478,8 @@ let mixed_jobs () =
       };
       bmc [ "deep" ];
       bmc [ "dead" ];
+      { base with Fleet.backend = Fleet.Lanes; seed = 9; lane_seeds = [| 10; 11 |] };
+      { base with Fleet.backend = Fleet.Fpga; scan_width = 0 };
     ]
 
 (* jobs run one after another in one worker return exactly what
@@ -434,7 +494,7 @@ let test_worker_reuse_changes_nothing () =
   List.iter
     (fun (what, order) ->
       with_obs (fun () ->
-          let results = Fleet.run_jobs ~jobs:1 order in
+          let results = Fleet.run_jobs ~jobs:1 ~retries:0 order in
           List.iter (fun (job, outcome) -> check_same_as_in_process what job outcome) results;
           Alcotest.(check int) (what ^ ": one worker") 1
             (Obs.counter_value "fleet.workers_spawned");
@@ -551,6 +611,8 @@ let tests =
     Alcotest.test_case "run_job: profile over the result pipe" `Quick test_profile_over_pipe;
     Alcotest.test_case "run_job: lane job = k solo runs, over the pipe" `Quick
       test_lanes_job_over_pipe;
+    Alcotest.test_case "decode: never trusts partial or foreign bytes" `Quick
+      test_decode_rejects_partial_and_foreign;
     Alcotest.test_case "campaign: db independent of -j" `Quick test_campaign_j_independent;
     Alcotest.test_case "campaign: db independent of --lanes" `Quick
       test_campaign_lanes_independent;
