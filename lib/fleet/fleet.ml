@@ -29,9 +29,7 @@ module Counts = Sic_coverage.Counts
 module Timeline = Sic_coverage.Timeline
 module Removal = Sic_coverage.Removal
 module Db = Sic_db.Db
-module Json = Sic_obs.Json
 module Obs = Sic_obs.Obs
-module Artifact = Sic_obs.Artifact
 module Rng = Sic_fuzz.Rng
 open Sic_sim
 
@@ -261,83 +259,56 @@ let run_job ?progress (job : job) : job_result =
 (* The worker pool                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* Worker -> parent protocol, version 3 (documented in DESIGN.md): while
-   running, the worker writes heartbeat lines
-   [{"type":"hb","job":i,"cycles":c,"covered":p}]; then one result header
-   line [{"type":"result","proto":3,"bytes":n}] followed by [n] bytes of
-   [Marshal.to_string] of a {!decoded} value: the job's outcome and its
-   telemetry as an {!Obs.export_events} payload. Marshal is type-safe here
+(* Worker -> parent protocol (documented in DESIGN.md): every message is
+   one [Marshal.to_string] of a {!message} — heartbeats while the job
+   runs, then its result, which carries the job's outcome and, when
+   telemetry is on, the worker's {!Obs.export}. Marshal is type-safe here
    only because parent and worker are the same forked binary, so the
    value's type is the same on both ends of the pipe; the text formats
    (counts, timeline, profile, trace) stay for what leaves the process
    tree. A new result field is one more field of [job_result].
 
-   A pooled worker outlives its job, so a result ends after the [n] bytes
-   its header advertises, not at EOF, and the next job's lines follow it.
-   The parent unmarshals only once all [n] bytes have arrived, so a worker
-   that dies mid-write never hands it a partial value. The other direction
-   is one dispatch line per job on the worker's command pipe:
-   [<position> <crash>], the job's position in the list the worker
-   inherited and the crash-injection flag. *)
-
-let proto_version = 3
+   A pooled worker outlives its job, so a message ends where Marshal's own
+   header says it does ([Marshal.total_size]), not at EOF, and the next
+   message follows it. The parent unmarshals only once the whole message
+   has arrived, so a worker that dies mid-write never hands it a partial
+   value. The other direction is one dispatch line per job on the
+   worker's command pipe: [<position> <crash>], the job's position in the
+   list the worker inherited and the crash-injection flag. *)
 
 type decoded = {
   outcome : (job_result, string) result;
       (** the job's verdict: [Error] is a {e worker-reported} failure *)
-  telemetry : string;  (** {!Obs.import_events} payload; [""] when off *)
+  telemetry : Obs.export option;  (** the worker's telemetry; [None] when off *)
 }
 
-(* the result header and body of one job, with this worker's telemetry *)
-let encode outcome : string =
-  let body =
-    Marshal.to_string
-      { outcome; telemetry = (if Obs.on () then Obs.export_events () else "") }
-      []
-  in
-  Json.to_string
-    (Json.Obj
-       [
-         ("type", Json.String "result");
-         ("proto", Json.Int proto_version);
-         ("bytes", Json.Int (String.length body));
-       ])
-  ^ "\n" ^ body
+type message = Heartbeat of { cycles : int; covered : int } | Result of decoded
+
+let marshal_message (m : message) = Marshal.to_string m []
+
+(* a job's result message, with this worker's telemetry *)
+let encode outcome =
+  let telemetry = if Obs.on () then Some (Obs.export ()) else None in
+  marshal_message (Result { outcome; telemetry })
 
 let encode_ok (r : job_result) : string = encode (Ok r)
 
-(* a parsed result header, checked against this orchestrator's protocol:
-   the length of the body that follows it *)
-let body_length (h : Json.t) : (int, string) result =
-  match (Json.int_member "proto" h, Json.int_member "bytes" h) with
-  | Some v, _ when v <> proto_version ->
-      Error (Printf.sprintf "worker speaks protocol %d, this orchestrator speaks %d" v proto_version)
-  | None, _ -> Error "worker header lacks a protocol version"
-  | Some _, Some n when n >= 0 -> Ok n
-  | Some _, _ -> Error "worker header lacks a body length"
-
-(* a complete body: exactly the bytes its header advertised *)
-let decode_body (body : string) : (decoded, string) result =
+(* exactly one whole message: a string of any other length, or one that
+   is not Marshal output, is an [Error] *)
+let unmarshal_message (s : string) : (message, string) result =
   match
-    if Marshal.total_size (Bytes.unsafe_of_string body) 0 <> String.length body then
+    if Marshal.total_size (Bytes.unsafe_of_string s) 0 <> String.length s then
       failwith "its length disagrees with its contents";
-    (Marshal.from_string body 0 : decoded)
+    (Marshal.from_string s 0 : message)
   with
-  | d -> Ok d
-  | exception (Failure m | Invalid_argument m) -> Error ("bad worker result: " ^ m)
+  | m -> Ok m
+  | exception (Failure m | Invalid_argument m) -> Error ("bad worker message: " ^ m)
 
-let decode (payload : string) : (decoded, string) result =
-  match String.index_opt payload '\n' with
-  | None -> Error "truncated worker result"
-  | Some i -> (
-      match Json.parse (String.sub payload 0 i) with
-      | exception Json.Parse_error m -> Error ("bad worker header: " ^ m)
-      | h ->
-          Result.bind (body_length h) (fun n ->
-              let have = String.length payload - i - 1 in
-              if have < n then
-                Error (Printf.sprintf "truncated worker body (%d of %d bytes)" have n)
-              else decode_body (String.sub payload (i + 1) n)))
+let decode (s : string) : (decoded, string) result =
+  match unmarshal_message s with
+  | Ok (Result d) -> Ok d
+  | Ok (Heartbeat _) -> Error "a worker heartbeat, not a result"
+  | Error m -> Error m
 
 (* A write after the parent closed the result pipe raises
    Unix_error (EPIPE) rather than killing the worker: sic ignores SIGPIPE
@@ -367,16 +338,7 @@ let run_in_worker (job : job) (wfd : Unix.file_descr) : string =
     let now = Unix.gettimeofday () in
     if now -. !last_hb >= heartbeat_interval_s then begin
       last_hb := now;
-      write_all wfd
-        (Json.to_string
-           (Json.Obj
-              [
-                ("type", Json.String "hb");
-                ("job", Json.Int job.index);
-                ("cycles", Json.Int cycles);
-                ("covered", Json.Int covered);
-              ])
-        ^ "\n")
+      write_all wfd (marshal_message (Heartbeat { cycles; covered }))
     end
   in
   encode
@@ -430,9 +392,6 @@ type task = {
   dispatched : float;  (** wall clock, for the timeout *)
   t_start_us : float;  (** on the telemetry clock, for the attempt span *)
   mutable timed_out : bool;
-  mutable body : (int * int) option;
-      (** the offset in the worker's buffer where the result body starts
-          and the body's advertised length, once the header has arrived *)
 }
 
 type worker = {
@@ -539,7 +498,6 @@ let run_jobs ?(jobs = 1) ?timeout_s ?(retries = 1) ?(inject_crash = fun _ -> fal
           dispatched = Unix.gettimeofday ();
           t_start_us = Obs.now_us ();
           timed_out = false;
-          body = None;
         };
     (* a worker that died idle fails this write; its result pipe then
        reports the death *)
@@ -550,18 +508,16 @@ let run_jobs ?(jobs = 1) ?timeout_s ?(retries = 1) ?(inject_crash = fun _ -> fal
   in
   (* merge a finished job's telemetry as one lane of the campaign trace *)
   let import_telemetry (t : task) telemetry =
-    if telemetry <> "" && Obs.on () then begin
-      let label =
-        Printf.sprintf "job %d %s/%s seed=%d%s" t.t_job.index t.t_job.design
-          (backend_name t.t_job.backend)
-          t.t_job.seed
-          (if t.attempt > 0 then Printf.sprintf " attempt %d" (t.attempt + 1) else "")
-      in
-      try Obs.import_events ~label telemetry
-      with Artifact.Bad_format m ->
-        Obs.instant "fleet.telemetry_dropped"
-          ~args:[ ("job", Obs.Int t.t_job.index); ("why", Obs.Str m) ]
-    end
+    match telemetry with
+    | Some x when Obs.on () ->
+        let label =
+          Printf.sprintf "job %d %s/%s seed=%d%s" t.t_job.index t.t_job.design
+            (backend_name t.t_job.backend)
+            t.t_job.seed
+            (if t.attempt > 0 then Printf.sprintf " attempt %d" (t.attempt + 1) else "")
+        in
+        Obs.import ~label x
+    | _ -> ()
   in
   (* record one attempt's outcome: a result, a retry, or a failure *)
   let settle (t : task) outcome =
@@ -616,59 +572,38 @@ let run_jobs ?(jobs = 1) ?timeout_s ?(retries = 1) ?(inject_crash = fun _ -> fal
              | None -> death_reason status)))
       w.task
   in
-  (* consume what a busy worker wrote: heartbeat lines until the result
-     header, then the result once every byte the header advertises has
-     arrived — the worker stays alive, so EOF never marks the end *)
+  (* consume what a busy worker wrote, one whole message at a time: its
+     Marshal header gives its length, and the worker stays alive, so EOF
+     never marks the end. Bytes that are not a message leave the pipe
+     unusable for the next job too: the worker goes *)
   let rec scan w =
+    let have = Buffer.length w.buf in
     match w.task with
-    | None -> ()
-    | Some t -> (
-        match t.body with
-        | Some (off, n) ->
-            let len = off + n in
-            if Buffer.length w.buf >= len then begin
-              let body = Buffer.sub w.buf off n in
-              let rest = Buffer.sub w.buf len (Buffer.length w.buf - len) in
-              Buffer.clear w.buf;
-              Buffer.add_string w.buf rest;
-              w.task <- None;
-              settle t
-                (match decode_body body with
-                | Ok d ->
-                    import_telemetry t d.telemetry;
-                    d.outcome
-                | Error m -> Error m)
-            end
-        | None -> (
-            let s = Buffer.contents w.buf in
-            match String.index_opt s '\n' with
-            | None -> ()
-            | Some i -> (
-                (* a result that cannot be framed leaves the pipe
-                   unusable for the next job too: the worker goes *)
-                let garbled m =
-                  kill_quietly w.pid;
-                  bury ~why:m w
-                in
-                match Json.parse (String.sub s 0 i) with
-                | exception Json.Parse_error m -> garbled ("bad worker header: " ^ m)
-                | j when Json.string_member "type" j = Some "hb" ->
-                    Buffer.clear w.buf;
-                    Buffer.add_substring w.buf s (i + 1) (String.length s - i - 1);
-                    emit
-                      (Job_heartbeat
-                         {
-                           job = t.t_job;
-                           hb_cycles = Option.value ~default:0 (Json.int_member "cycles" j);
-                           hb_covered = Option.value ~default:0 (Json.int_member "covered" j);
-                         });
-                    scan w
-                | h -> (
-                    match body_length h with
-                    | Ok n ->
-                        t.body <- Some (i + 1, n);
-                        scan w
-                    | Error m -> garbled m))))
+    | Some t when have >= Marshal.header_size -> (
+        let garbled m =
+          kill_quietly w.pid;
+          bury ~why:m w
+        in
+        let header = Bytes.unsafe_of_string (Buffer.sub w.buf 0 Marshal.header_size) in
+        match Marshal.total_size header 0 with
+        | exception Failure m -> garbled ("bad worker message: " ^ m)
+        | n when have >= n -> (
+            let msg = Buffer.sub w.buf 0 n in
+            let rest = Buffer.sub w.buf n (have - n) in
+            Buffer.clear w.buf;
+            Buffer.add_string w.buf rest;
+            match unmarshal_message msg with
+            | Ok (Heartbeat { cycles; covered }) ->
+                emit
+                  (Job_heartbeat { job = t.t_job; hb_cycles = cycles; hb_covered = covered });
+                scan w
+            | Ok (Result d) ->
+                w.task <- None;
+                import_telemetry t d.telemetry;
+                settle t d.outcome
+            | Error m -> garbled m)
+        | _ -> ())
+    | _ -> ()
   in
   (* hand waiting jobs to idle workers, forking while the pool is below
      [jobs]: [min jobs n] forks up front, one more per death that leaves

@@ -102,29 +102,34 @@ val run_job : ?progress:(cycles:int -> covered:int -> unit) -> job -> job_result
 
 (** {1 Worker protocol}
 
-    Workers talk to the orchestrator over a pipe in protocol version 3:
-    heartbeat lines while running, then one result header line
-    [{"type":"result","proto":3,"bytes":n}] followed by [n] bytes of
-    [Marshal] output holding a {!decoded} value (see DESIGN.md, "Worker
-    protocol"). Marshal is type-safe here only because parent and worker
-    are the same forked binary. A worker serves many jobs over one pipe,
-    so a result ends after its [n] bytes, not at EOF. *)
-
-val encode_ok : job_result -> string
-(** The payload a worker writes for a successful job, with the worker's
-    telemetry when it is on. *)
+    Every message a worker writes to the orchestrator is one
+    [Marshal.to_string] of a {!message}: heartbeats while a job runs,
+    then its result (see DESIGN.md, "Worker protocol"). Marshal is
+    type-safe here only because parent and worker are the same forked
+    binary. A worker serves many jobs over one pipe, so the parent frames
+    each message by Marshal's own header ([Marshal.total_size]), not by
+    EOF, and unmarshals it only once it has wholly arrived. *)
 
 type decoded = {
   outcome : (job_result, string) result;
       (** the job's verdict: [Error] is a {e worker-reported} failure *)
-  telemetry : string;
-      (** {!Sic_obs.Obs.import_events} payload; [""] when telemetry off *)
+  telemetry : Sic_obs.Obs.export option;
+      (** the worker's telemetry for this job; [None] when telemetry is off *)
 }
 
+type message =
+  | Heartbeat of { cycles : int; covered : int }
+      (** work done and points covered so far, at most every 50 ms *)
+  | Result of decoded  (** the job's last message *)
+
+val encode_ok : job_result -> string
+(** The result message a worker writes for a successful job, with the
+    worker's telemetry when it is on. *)
+
 val decode : string -> (decoded, string) result
-(** Parse a worker payload starting at its result header. Malformed,
-    truncated or wrong-protocol payloads, and bodies that are not this
-    binary's Marshal output, decode to [Error]; [decode] never raises. *)
+(** Read one whole result message. A string that is not exactly one
+    Marshal value (a prefix, trailing bytes, foreign bytes) or that holds
+    a heartbeat decodes to [Error]; [decode] never raises. *)
 
 (** {1 Job events} *)
 
@@ -149,8 +154,7 @@ val run_jobs :
     for this call. Each worker inherits the job list through the fork;
     the parent dispatches one job at a time to an idle worker (a short
     line naming the job's position), and the worker runs it and writes
-    its result, complete once every byte its header advertises has
-    arrived. Retry crashes/timeouts/raises up to [retries] extra
+    its heartbeats and result as {!message}s. Retry crashes/timeouts/raises up to [retries] extra
     attempts; [timeout_s] counts from dispatch; a worker that dies fails
     only its own job and is replaced by a fresh one while jobs wait.
     Never raises on worker death. Results are in input order, each equal

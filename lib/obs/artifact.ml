@@ -60,8 +60,9 @@ let check_meta ~format ~version lineno m =
   if Json.string_member "type" m <> Some "meta" then
     bad_format lineno "expected a %s meta record" format;
   (match Json.string_member "format" m with
-  | Some f when f <> format -> bad_format lineno "format %S, this reader understands %S" f format
-  | Some _ | None -> ());
+  | Some f when f = format -> ()
+  | Some f -> bad_format lineno "format %S, this reader understands %S" f format
+  | None -> bad_format lineno "%s meta record lacks a format" format);
   match Json.int_member "version" m with
   | Some v when v = version -> ()
   | Some v -> bad_format lineno "%s version %d, this reader understands version %d" format v version

@@ -41,7 +41,7 @@ val records :
   format:string -> version:int -> (int -> Json.t -> 'a) -> string -> Json.t * 'a list
 (** [records ~format ~version decode text] parses an NDJSON text: blank
     lines are skipped, and the first record must be a [meta] record of
-    [version] whose [format], when present, is [format]. Every later
+    [format] and [version]. Every later
     record is passed to [decode] with its physical line number as soon as
     it is parsed. Returns the meta record and the decoded records in file
     order. A line that is not JSON raises {!Bad_format} at that line. *)

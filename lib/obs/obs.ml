@@ -228,71 +228,24 @@ let json_of_event (e : event) : Json.t =
 (* Cross-process round-trip                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* A worker ships its recorded events to the orchestrator as NDJSON: a
-   meta line carrying the worker's pid and absolute t0 (so the parent can
-   rebase timestamps onto its own t0), then one line per event in the
-   [json_of_event] schema, then counter summaries to absorb. *)
+(* A fleet worker is a fork of this binary, so what it ships back is this
+   typed value, marshaled with the rest of its job's result: no text
+   format, nothing to parse. *)
 
-let export_format = "sic-telemetry"
+type export = {
+  ex_pid : int;
+  ex_t0_us : float;
+  ex_events : event list;
+  ex_counters : (string * int) list;
+}
 
-let export_version = 1
-
-(* the meta record of both NDJSON exports: this one and [ndjson_buffer] *)
-let meta_record fields =
-  Artifact.meta ~format:export_format ~version:export_version
-    (("unit", Json.String "us") :: ("pid", Json.Int (Unix.getpid ())) :: fields)
-
-let export_events () =
-  let buf = Buffer.create 1024 in
-  let line j =
-    Json.to_buffer buf j;
-    Buffer.add_char buf '\n'
-  in
-  line (meta_record [ ("t0_us", Json.Float !t0_us) ]);
-  List.iter (fun e -> line (json_of_event e)) (events ());
-  let counter_lines =
-    Hashtbl.fold (fun name r acc -> (name, !r) :: acc) counters [] |> List.sort compare
-  in
-  List.iter
-    (fun (name, v) ->
-      line
-        (Json.Obj
-           [ ("type", Json.String "counter"); ("name", Json.String name); ("value", Json.Int v) ]))
-    counter_lines;
-  Buffer.contents buf
-
-let value_of_json : Json.t -> value = function
-  | Json.Bool b -> Bool b
-  | Json.Int i -> Int i
-  | Json.Float f -> Float f
-  | Json.String s -> Str s
-  | j -> Str (Json.to_string j)
-
-let args_of_json j =
-  match Json.member "args" j with
-  | Some (Json.Obj kvs) -> List.map (fun (k, v) -> (k, value_of_json v)) kvs
-  | _ -> []
-
-let event_of_json lineno (j : Json.t) : event option =
-  let str k = Json.string_member k j in
-  let flt k = Option.value ~default:0. (Json.float_member k j) in
-  let name () =
-    match str "name" with Some n -> n | None -> Artifact.bad_format lineno "event lacks a name"
-  in
-  match str "type" with
-  | Some "span" ->
-      Some
-        (Span
-           {
-             name = name ();
-             start_us = flt "start_us";
-             dur_us = flt "dur_us";
-             depth = Option.value ~default:0 (Json.int_member "depth" j);
-             args = args_of_json j;
-           })
-  | Some "gauge" -> Some (Gauge { name = name (); ts_us = flt "ts_us"; gauge_value = flt "value" })
-  | Some "instant" -> Some (Instant { name = name (); ts_us = flt "ts_us"; args = args_of_json j })
-  | _ -> None
+let export () =
+  {
+    ex_pid = Unix.getpid ();
+    ex_t0_us = !t0_us;
+    ex_events = events ();
+    ex_counters = Hashtbl.fold (fun name r acc -> (name, !r) :: acc) counters [];
+  }
 
 let rebase offset (e : event) : event =
   match e with
@@ -300,36 +253,25 @@ let rebase offset (e : event) : event =
   | Gauge g -> Gauge { g with ts_us = g.ts_us +. offset }
   | Instant i -> Instant { i with ts_us = i.ts_us +. offset }
 
-(* counters are absorbed unguarded: an explicit import is intent enough *)
-let absorb_counter name v =
-  match Hashtbl.find_opt counters name with
-  | Some r -> r := !r + v
-  | None -> Hashtbl.replace counters name (ref v)
-
-let import_events ?label (s : string) =
-  let m, evs =
-    Artifact.records ~format:export_format ~version:export_version
-      (fun lineno j ->
-        match Json.string_member "type" j with
-        | Some "counter" ->
-            (match (Json.string_member "name" j, Json.int_member "value" j) with
-            | Some name, Some v -> absorb_counter name v
-            | _ -> ());
-            None
-        | _ -> event_of_json lineno j)
-      s
-  in
-  let pid = Option.value ~default:0 (Json.int_member "pid" m) in
+let import ?label (x : export) =
+  (* counters are absorbed unguarded: an explicit import is intent enough *)
+  List.iter
+    (fun (name, v) ->
+      match Hashtbl.find_opt counters name with
+      | Some r -> r := !r + v
+      | None -> Hashtbl.replace counters name (ref v))
+    x.ex_counters;
   (* the exporter's timestamps are relative to its own t0; shift them
      onto ours so one merged trace shows the true schedule *)
-  let offset =
-    match Json.float_member "t0_us" m with Some t0 -> t0 -. !t0_us | None -> 0.
-  in
-  let evs = List.filter_map (Option.map (rebase offset)) evs in
-  let label =
-    match label with Some l -> l | None -> Printf.sprintf "pid %d" pid
-  in
-  imported := { lane_pid = pid; lane_label = label; lane_events = evs } :: !imported
+  let offset = x.ex_t0_us -. !t0_us in
+  let label = match label with Some l -> l | None -> Printf.sprintf "pid %d" x.ex_pid in
+  imported :=
+    {
+      lane_pid = x.ex_pid;
+      lane_label = label;
+      lane_events = List.map (rebase offset) x.ex_events;
+    }
+    :: !imported
 
 let summary_lines () =
   let counter_lines =
@@ -371,7 +313,9 @@ let ndjson_buffer buf =
     Json.to_buffer buf j;
     Buffer.add_char buf '\n'
   in
-  line (meta_record []);
+  line
+    (Artifact.meta ~format:"sic-telemetry" ~version:1
+       [ ("unit", Json.String "us"); ("pid", Json.Int (Unix.getpid ())) ]);
   List.iter (fun e -> line (json_of_event e)) (events ());
   List.iter line (summary_lines ());
   (* imported worker lanes, each announced by a lane record; lane events

@@ -64,26 +64,33 @@ val events : unit -> event list
 (** {1 Cross-process aggregation}
 
     A fleet worker records its own telemetry, then ships it back to the
-    orchestrator as NDJSON over the result pipe; the parent imports each
-    payload as one {b lane} — rebasing the worker's timestamps onto its own
-    timestamp zero — so the exporters can render the whole [-j N] schedule
-    in a single merged trace, one Perfetto track per worker process. *)
+    orchestrator as an {!export} value inside its marshaled job result
+    (the worker is a fork of the same binary, so the value's type is the
+    same on both ends); the parent imports each one as a {b lane} —
+    rebasing the worker's timestamps onto its own timestamp zero — so the
+    exporters can render the whole [-j N] schedule in a single merged
+    trace, one Perfetto track per worker process. *)
 
 type lane = { lane_pid : int; lane_label : string; lane_events : event list }
 
 val lanes : unit -> lane list
 (** Imported lanes, in import order. Cleared by {!reset}. *)
 
-val export_events : unit -> string
-(** Serialize this process's recorded events (plus counters) as NDJSON: a
-    [meta] line carrying the pid and absolute t0 for rebasing, then one line
-    per event, then [counter] lines. Inverse of {!import_events}. *)
+type export = {
+  ex_pid : int;  (** the exporting process *)
+  ex_t0_us : float;  (** its absolute timestamp zero, for rebasing *)
+  ex_events : event list;  (** its recorded events, in recording order *)
+  ex_counters : (string * int) list;  (** its counters, in no order *)
+}
+(** One process's recorded telemetry, as a value. *)
 
-val import_events : ?label:string -> string -> unit
-(** Parse an {!export_events} payload into a new lane (labelled [label],
-    default ["pid N"]), rebasing timestamps and absorbing the exporter's
-    counters into ours. Raises {!Artifact.Bad_format} on malformed payloads
-    or an unknown export version. *)
+val export : unit -> export
+(** This process's recorded events and counters. Inverse of {!import}. *)
+
+val import : ?label:string -> export -> unit
+(** Add an {!export} as a new lane (labelled [label], default ["pid N"]),
+    rebasing its timestamps onto this process's timestamp zero and adding
+    its counters to ours. *)
 
 (** {1 Spans} *)
 

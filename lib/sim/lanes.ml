@@ -170,7 +170,6 @@ type t = {
   rb_src : int array;
   rb_scratch : Bv.t array;
   mems : lmem array;
-  builtin_db : Sic_coverage.Line_coverage.db option;
   iplan : iplan array;  (** data inputs in port order *)
   rowsa : int array array;  (** per input limb: 32x32 transpose block
                                 holding lanes 0-31's draws as rows *)
@@ -262,10 +261,10 @@ let apply_presets ~lanes ~widths ~wide sv wv presets =
       else Array.fill sv (s * lanes) lanes (Bv.to_int_trunc v land Eval.Int.mask widths.(s)))
     presets
 
-let build ?(builtin_line = false) ?(lanes = 62) (c : Circuit.t) : t =
+let build ?(lanes = 62) (c : Circuit.t) : t =
   let lanes = max 1 (min 62 lanes) in
   let lane_mask = (1 lsl lanes) - 1 in
-  let tp = Tape.build ~builtin_line c in
+  let tp = Tape.build c in
   let p = tp.Tape.p in
   let widths = tp.Tape.widths in
   let nslots = Array.length widths in
@@ -800,7 +799,6 @@ let build ?(builtin_line = false) ?(lanes = 62) (c : Circuit.t) : t =
     rb_src = Array.of_list (List.map (fun (_, s, _) -> s) rb);
     rb_scratch = Array.make (List.length rb * lanes) (Bv.zero 1);
     mems;
-    builtin_db = tp.Tape.builtin_db;
     iplan;
     rowsa = Array.init max_limbs (fun _ -> Array.make 32 0);
     rowsb = Array.init max_limbs (fun _ -> Array.make 32 0);
@@ -1573,5 +1571,4 @@ let to_backend ~name (t : t) : Backend.t =
       restore = (fun () -> restore t);
     }
 
-let create ?builtin_line ?lanes (c : Circuit.t) : Backend.t =
-  to_backend ~name:"lanes" (build ?builtin_line ?lanes c)
+let create ?lanes (c : Circuit.t) : Backend.t = to_backend ~name:"lanes" (build ?lanes c)

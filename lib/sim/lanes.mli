@@ -29,7 +29,7 @@
 
 type t
 
-val build : ?builtin_line:bool -> ?lanes:int -> Sic_ir.Circuit.t -> t
+val build : ?lanes:int -> Sic_ir.Circuit.t -> t
 (** Decode the shared tape for [lanes] parallel seeds (default and
     maximum 62, clamped to [1, 62]). *)
 
@@ -72,5 +72,5 @@ val to_backend : name:string -> t -> Backend.t
     lockstep stimulus every lane equals a scalar run, so the facade drops
     into the differential suites as a sixth backend column. *)
 
-val create : ?builtin_line:bool -> ?lanes:int -> Sic_ir.Circuit.t -> Backend.t
+val create : ?lanes:int -> Sic_ir.Circuit.t -> Backend.t
 (** [to_backend ~name:"lanes" (build c)]. *)

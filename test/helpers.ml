@@ -130,12 +130,14 @@ let random_drive (b : Sic_sim.Backend.t) ~seed ~cycles =
   Alcotest.(check int) "cycles () counts the steps taken" (cycles + 1) (b.Backend.cycles ());
   (Buffer.contents observations, b.Backend.counts ())
 
-(* a directory name unique to this process and call, under the sandbox cwd *)
+(* a directory name unique to this process and call, under the temporary
+   directory, so a run from any working directory leaves the tree clean *)
 let fresh_dir =
   let n = ref 0 in
   fun prefix ->
     incr n;
-    Printf.sprintf "%s_%d_%d" prefix (Unix.getpid ()) !n
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "%s_%d_%d" prefix (Unix.getpid ()) !n)
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 

@@ -103,6 +103,16 @@ let test_versioning () =
       ("manifest.ndjson", "{\"type\":\"meta\",\"format\":\"sic-db\",\"version\":1}");
       ("exclusions.ndjson", "{\"type\":\"meta\",\"format\":\"sic-exclusions\",\"version\":1}");
     ];
+  (* a manifest whose meta record names no format is rejected at line 1 *)
+  let dir_nofmt = fresh_dir "db_nofmt" in
+  ignore (Db.init dir_nofmt);
+  Out_channel.with_open_bin (Filename.concat dir_nofmt "manifest.ndjson") (fun oc ->
+      output_string oc "{\"type\":\"meta\",\"version\":1}\n");
+  (match Db.load dir_nofmt with
+  | _ -> Alcotest.fail "format-less meta record accepted"
+  | exception Sic_obs.Artifact.Bad_format m ->
+      Alcotest.(check bool) "error names line 1" true
+        (contains ~needle:"manifest.ndjson: line 1:" m));
   (* a manifest from an incompatible future version is rejected *)
   let dir2 = fresh_dir "db_future" in
   ignore (Db.init dir2);

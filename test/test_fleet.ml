@@ -320,20 +320,18 @@ let test_lanes_job_over_pipe () =
   | Ok { Fleet.outcome = Error e; _ } | Error e -> Alcotest.fail e
 
 (* the parent hands a result on only when it is whole and this binary's
-   own: every strict prefix of a real payload, a header of another
-   protocol version, and a body that is not exactly one Marshal value all
-   decode to [Error], and none of them raises *)
+   own: every strict prefix of a real message, bytes that are not a
+   Marshal value, a Marshal value with a byte after it, and a heartbeat
+   all decode to [Error], and none of them raises *)
 let test_decode_rejects_partial_and_foreign () =
-  let frame ?(proto = 3) body =
-    Printf.sprintf "{\"type\":\"result\",\"proto\":%d,\"bytes\":%d}\n%s" proto
-      (String.length body) body
-  in
   let lane_result =
     match mk_jobs ~backend:Fleet.Lanes [ 11 ] with
     | [ j ] -> Fleet.run_job { j with Fleet.lane_seeds = [| 22; 33 |] }
     | _ -> assert false
   in
-  let failed_body = Marshal.to_string { Fleet.outcome = Error "boom"; telemetry = "" } [] in
+  let failed =
+    Marshal.to_string (Fleet.Result { Fleet.outcome = Error "boom"; telemetry = None }) []
+  in
   let rejects what payload =
     match Fleet.decode payload with
     | Error _ -> ()
@@ -355,14 +353,12 @@ let test_decode_rejects_partial_and_foreign () =
         function
         | Ok r -> List.length r.Fleet.lane_extra = 2
         | Error _ -> false );
-      ("failed result", frame failed_body, fun o -> o = Error "boom");
+      ("failed result", failed, fun o -> o = Error "boom");
     ];
-  rejects "a protocol-2 header" (frame ~proto:2 failed_body);
-  rejects "a counts text body" (frame (Counts.to_string lane_result.Fleet.counts));
-  rejects "a one-byte body" (frame "x");
-  rejects "a body longer than its Marshal value" (frame (failed_body ^ "x"));
-  rejects "a header without a length"
-    ("{\"type\":\"result\",\"proto\":3}\n" ^ failed_body)
+  rejects "a counts text body" (Counts.to_string lane_result.Fleet.counts);
+  rejects "a one-byte body" "x";
+  rejects "a body longer than its Marshal value" (failed ^ "x");
+  rejects "a heartbeat" (Marshal.to_string (Fleet.Heartbeat { cycles = 1; covered = 1 }) [])
 
 (* the database is a function of (designs, seeds, master seed) only:
    packing runs into lane jobs — at any -j — moves no byte of it, and the
@@ -518,6 +514,47 @@ let test_worker_reuse_changes_nothing () =
             results lanes))
     [ ("forward", jobs); ("reversed", List.rev jobs) ]
 
+(* every job's worker reports its progress while it runs: each sampled
+   job gets at least one heartbeat (the first is never throttled), and
+   each reports work within the job's budget *)
+let test_heartbeats_reach_on_event () =
+  let jobs = mk_jobs ~sample_every:50 [ 1; 2; 3 ] in
+  let beats = Hashtbl.create 8 in
+  let on_event = function
+    | Fleet.Job_heartbeat { job; hb_cycles; _ } -> Hashtbl.add beats job.Fleet.index hb_cycles
+    | _ -> ()
+  in
+  List.iter
+    (fun (job, outcome) -> check_same_as_in_process "heartbeats" job outcome)
+    (Fleet.run_jobs ~jobs:2 ~on_event jobs);
+  List.iter
+    (fun (job : Fleet.job) ->
+      let cycles = Hashtbl.find_all beats job.Fleet.index in
+      Alcotest.(check bool)
+        (Printf.sprintf "job %d got a heartbeat" job.Fleet.index)
+        true (cycles <> []);
+      List.iter
+        (fun c ->
+          Alcotest.(check bool)
+            (Printf.sprintf "job %d heartbeat %d within (0, %d]" job.Fleet.index c
+               job.Fleet.budget)
+            true
+            (0 < c && c <= job.Fleet.budget))
+        cycles)
+    jobs
+
+(* each worker's counters cross the pipe with its result and add up in
+   the parent *)
+let test_worker_counters_absorbed () =
+  with_obs (fun () ->
+      let results = Fleet.run_jobs ~jobs:2 (mk_jobs ~backend:Fleet.Fuzz ~budget:30 [ 1; 2 ]) in
+      List.iter
+        (fun (job, outcome) ->
+          if Result.is_error outcome then Alcotest.failf "job %d failed" job.Fleet.index)
+        results;
+      Alcotest.(check int) "fuzz.execs summed over both workers" 60
+        (Obs.counter_value "fuzz.execs"))
+
 (* no child of this process is left, running or unreaped *)
 let check_no_children what =
   match Unix.waitpid [ Unix.WNOHANG ] (-1) with
@@ -606,6 +643,9 @@ let tests =
     Alcotest.test_case "run_jobs: a dead worker is replaced" `Quick test_dead_worker_replaced;
     Alcotest.test_case "run_jobs: no worker outlives the call" `Quick
       test_no_worker_outlives_run_jobs;
+    Alcotest.test_case "run_jobs: heartbeats reach on_event" `Quick
+      test_heartbeats_reach_on_event;
+    Alcotest.test_case "run_jobs: worker counters absorbed" `Quick test_worker_counters_absorbed;
     Alcotest.test_case "run_job: bmc 0/1 semantics" `Quick test_bmc_job;
     Alcotest.test_case "run_job: timeline sampling" `Quick test_run_job_timeline;
     Alcotest.test_case "run_job: profile over the result pipe" `Quick test_profile_over_pipe;
