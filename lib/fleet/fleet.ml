@@ -771,6 +771,7 @@ type summary = {
   total_jobs : int;
   ok : int;
   failed : int;
+  skipped : int;  (** jobs of designs the removal pass left with no points *)
   waves_run : int;
   removed_points : int;  (** cover points stripped by inter-wave removal *)
   points_total : int;
@@ -934,7 +935,7 @@ let run_campaign ?(inject_crash = fun _ -> false) ?on_event ~(db : Db.t) (spec :
     incr run_counter;
     Int64.to_int (Int64.logand (Rng.next64 (Rng.split master run_index)) 0x3FFFFFFFL)
   in
-  let ok = ref 0 and failed = ref 0 and removed_total = ref 0 in
+  let ok = ref 0 and failed = ref 0 and skipped = ref 0 and removed_total = ref 0 in
   let sim_cycles_total = ref 0 in
   (* per-circuit-hash profile accumulator, in job (hence deterministic)
      order: profiles merge positionally, so only runs of the identical
@@ -967,57 +968,68 @@ let run_campaign ?(inject_crash = fun _ -> false) ?on_event ~(db : Db.t) (spec :
           (fun (name, circuit) ->
             let r = Removal.remove_covered ~threshold:spec.threshold covered_so_far circuit in
             removed_total := !removed_total + List.length r.Removal.removed;
-            (name, r.Removal.circuit, hash r.Removal.circuit))
+            (name, r.Removal.circuit, hash r.Removal.circuit, r.Removal.kept <> []))
           spec.designs
       in
       let wave_jobs =
         List.concat_map
-          (fun (design, circuit, circuit_hash) ->
-            List.concat_map
-              (fun backend ->
-                let mk ~seed ~lane_seeds =
-                  let index = !job_counter in
-                  incr job_counter;
-                  {
-                    index;
-                    design;
-                    circuit;
-                    circuit_hash;
-                    backend;
-                    seed;
-                    lane_seeds;
-                    budget = budget_of spec backend;
-                    wave = wave_idx;
-                    scan_width = spec.scan_width;
-                    sample_every = spec.timeline_every;
-                    profile = spec.profile;
-                    covers = [];
-                    corpus = [];
-                  }
-                in
-                match backend with
-                | Lanes ->
-                    (* pack this (design, backend)'s seeds runs into
-                       ceil(seeds/lanes) bit-parallel jobs *)
-                    let l = lanes_per_job spec in
-                    let rec pack remaining acc =
-                      if remaining = 0 then List.rev acc
-                      else begin
-                        let k = min l remaining in
-                        let seeds = Array.make k 0 in
-                        for i = 0 to k - 1 do
-                          seeds.(i) <- next_seed ()
-                        done;
-                        pack (remaining - k)
-                          (mk ~seed:seeds.(0) ~lane_seeds:(Array.sub seeds 1 (k - 1))
-                          :: acc)
-                      end
-                    in
-                    pack spec.seeds []
-                | _ ->
-                    List.init spec.seeds (fun _s ->
-                        mk ~seed:(next_seed ()) ~lane_seeds:[||]))
-              backends)
+          (fun (design, circuit, circuit_hash, has_points) ->
+            let jobs =
+              List.concat_map
+                (fun backend ->
+                  let mk ~seed ~lane_seeds =
+                    let index = !job_counter in
+                    incr job_counter;
+                    {
+                      index;
+                      design;
+                      circuit;
+                      circuit_hash;
+                      backend;
+                      seed;
+                      lane_seeds;
+                      budget = budget_of spec backend;
+                      wave = wave_idx;
+                      scan_width = spec.scan_width;
+                      sample_every = spec.timeline_every;
+                      profile = spec.profile;
+                      covers = [];
+                      corpus = [];
+                    }
+                  in
+                  match backend with
+                  | Lanes ->
+                      (* pack this (design, backend)'s seeds runs into
+                         ceil(seeds/lanes) bit-parallel jobs *)
+                      let l = lanes_per_job spec in
+                      let rec pack remaining acc =
+                        if remaining = 0 then List.rev acc
+                        else begin
+                          let k = min l remaining in
+                          let seeds = Array.make k 0 in
+                          for i = 0 to k - 1 do
+                            seeds.(i) <- next_seed ()
+                          done;
+                          pack (remaining - k)
+                            (mk ~seed:seeds.(0) ~lane_seeds:(Array.sub seeds 1 (k - 1))
+                            :: acc)
+                        end
+                      in
+                      pack spec.seeds []
+                  | _ ->
+                      List.init spec.seeds (fun _s ->
+                          mk ~seed:(next_seed ()) ~lane_seeds:[||]))
+                backends
+            in
+            (* a design the removal pass left without points has nothing
+               to run; its jobs still drew their seeds and indices above,
+               so every other run keeps its seed *)
+            if has_points then jobs
+            else begin
+              skipped := !skipped + List.length jobs;
+              Obs.count ~by:(List.length jobs) "fleet.jobs_skipped";
+              []
+            end)
           wave_designs
       in
       let results =
@@ -1047,6 +1059,7 @@ let run_campaign ?(inject_crash = fun _ -> false) ?on_event ~(db : Db.t) (spec :
     total_jobs = !job_counter;
     ok = !ok;
     failed = !failed;
+    skipped = !skipped;
     waves_run = List.length spec.waves;
     removed_points = !removed_total;
     points_total = Counts.total_points agg;
@@ -1058,11 +1071,12 @@ let run_campaign ?(inject_crash = fun _ -> false) ?on_event ~(db : Db.t) (spec :
 
 let render_summary (s : summary) : string =
   Printf.sprintf
-    "campaign: %d jobs in %d waves (%d ok, %d failed), %d points removed pre-instrumentation\n\
+    "campaign: %d jobs in %d waves (%d ok, %d failed, %d skipped), %d points removed \
+     pre-instrumentation\n\
      coverage: %d/%d points (%.1f%%)\n\
      throughput: %d simulated units in %.1fs (%.0f units/s aggregate over waves x jobs x \
      lanes)\n"
-    s.total_jobs s.waves_run s.ok s.failed s.removed_points s.points_covered s.points_total
+    s.total_jobs s.waves_run s.ok s.failed s.skipped s.removed_points s.points_covered s.points_total
     (if s.points_total = 0 then 100.
      else 100. *. float_of_int s.points_covered /. float_of_int s.points_total)
     s.sim_cycles s.elapsed_s

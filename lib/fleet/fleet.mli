@@ -212,6 +212,9 @@ type summary = {
   total_jobs : int;
   ok : int;
   failed : int;
+  skipped : int;
+      (** jobs not run because the §5.3 removal pass left their design
+          with no cover points; [ok + failed + skipped = total_jobs] *)
   waves_run : int;
   removed_points : int;
   points_total : int;

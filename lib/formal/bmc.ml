@@ -44,7 +44,7 @@ let trace_of_model (u : Unroll.t) ~(upto : int) : Sic_sim.Replay.trace =
 let unroll ?covers ?free_init ~reset_cycles circuit ~bound =
   let span = Obs.span_open () in
   let u = Unroll.unroll ?covers ?free_init ~reset_cycles circuit ~bound in
-  let solver = u.Unroll.ctx.Gate.solver in
+  let solver = Gate.solver u.Unroll.ctx in
   Obs.span_close span ~name:"bmc.unroll"
     [
       ("depth", Obs.Int bound);
@@ -54,16 +54,32 @@ let unroll ?covers ?free_init ~reset_cycles circuit ~bound =
     ];
   u
 
+(** Every input bit of every frame that is a variable, not a constant. *)
+let input_vars (u : Unroll.t) =
+  let tt = abs (Gate.tt u.Unroll.ctx) in
+  List.concat_map
+    (fun (_, frames) ->
+      Array.fold_left
+        (fun acc bits ->
+          Array.fold_left (fun acc l -> if abs l = tt then acc else abs l :: acc) acc bits)
+        [] frames)
+    u.Unroll.input_bits
+
 (** Check reachability of each cover statement within [bound] cycles.
     [covers] restricts the search to a subset of cover names (default:
-    all), and the encoding to their cone of influence. *)
+    all), and the encoding to their cone of influence. A single-point
+    query branches on the input bits first: every other variable is a
+    function of them and of the reset state. Queries over several points
+    keep plain VSIDS, which serves them better. *)
 let check_covers ?(bound = 40) ?covers ?(reset_cycles = 1) (circuit : Circuit.t) : report =
   let u = unroll ?covers ~reset_cycles circuit ~bound in
+  let solver = Gate.solver u.Unroll.ctx in
   let selected =
     match covers with
     | None -> List.map fst u.Unroll.cover_lits
     | Some names -> names
   in
+  (match covers with Some [ _ ] -> Sat.prefer solver (input_vars u) | _ -> ());
   let results =
     List.map
       (fun name ->
@@ -74,15 +90,18 @@ let check_covers ?(bound = 40) ?covers ?(reset_cycles = 1) (circuit : Circuit.t)
             let g = Gate.fresh u.Unroll.ctx in
             Gate.clause u.Unroll.ctx (-g :: Array.to_list lits);
             let span = Obs.span_open () in
+            let decisions = Sat.decisions solver
+            and conflicts = Sat.conflicts solver
+            and propagations = Sat.propagations solver in
             let verdict =
-              match Sat.solve ~assumptions:[ g ] u.Unroll.ctx.Gate.solver with
+              match Sat.solve ~assumptions:[ g ] solver with
               | Sat.Sat ->
                   (* find the earliest satisfied cycle to truncate the trace *)
                   let upto = ref bound in
                   Array.iteri
                     (fun t l ->
                       if !upto = bound then begin
-                        let v = Sat.value u.Unroll.ctx.Gate.solver (abs l) in
+                        let v = Sat.value solver (abs l) in
                         let v = if l > 0 then v else not v in
                         if v then upto := t + 1
                       end)
@@ -99,11 +118,14 @@ let check_covers ?(bound = 40) ?covers ?(reset_cycles = 1) (circuit : Circuit.t)
                     (match verdict with
                     | Reachable _ -> "sat"
                     | Unreachable_within_bound -> "unsat") );
+                ("decisions", Obs.Int (Sat.decisions solver - decisions));
+                ("conflicts", Obs.Int (Sat.conflicts solver - conflicts));
+                ("propagations", Obs.Int (Sat.propagations solver - propagations));
               ];
             (name, verdict))
       selected
   in
-  { bound; results; solver_stats = Sat.stats u.Unroll.ctx.Gate.solver }
+  { bound; results; solver_stats = Sat.stats solver }
 
 let unreachable (r : report) =
   List.filter_map
@@ -153,7 +175,7 @@ let prove_unreachable ?(k = 4) ?covers ?(reset_cycles = 1) (circuit : Circuit.t)
               (match
                  Obs.span "bmc.induction_solve"
                    ~args:[ ("cover", Obs.Str name); ("depth", Obs.Int k) ]
-                   (fun () -> Sat.solve ~assumptions ind.Unroll.ctx.Gate.solver)
+                   (fun () -> Sat.solve ~assumptions (Gate.solver ind.Unroll.ctx))
                with
               | Sat.Unsat -> (name, Dead_forever)
               | Sat.Sat -> (name, Unknown))))

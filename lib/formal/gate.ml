@@ -1,4 +1,5 @@
-(** Tseitin encoding of word-level operations into CNF.
+(** Tseitin encoding of word-level operations into CNF, with structural
+    hashing.
 
     A [bits] value is an array of SAT literals, LSB first. The word-level
     operators mirror {!Sic_ir.Eval} exactly (same width rules, same
@@ -10,14 +11,26 @@ open Sic_ir
 
 exception Unsupported of string
 
-type ctx = { solver : Sat.t; tt : int (* literal that is constant true *) }
+(* Structural hashing: each gate is keyed on its canonical operands, so
+   building the same function of the same literals again returns the gate
+   built before. The keys are (0, a, b) for [and2] with a < b, (a, b, 0)
+   for [xor2] with 0 < a < b, and (s, a, b) for [ite] with s > 0; a
+   literal is never 0, so the three shapes cannot collide. The table is
+   open-addressed over flat int arrays, so it holds no boxed keys: slot
+   [i] holds the key [keys.(3i .. 3i+2)] and the gate [outs.(i)], which
+   is 0 while the slot is free. *)
+type gates = { mutable keys : int array; mutable outs : int array; mutable used : int }
+
+type ctx = { solver : Sat.t; tt : int (* literal that is constant true *); gates : gates }
 
 type bits = int array
 
 let create solver =
   let v = Sat.new_var solver in
   Sat.add_clause solver [ v ];
-  { solver; tt = v }
+  { solver; tt = v; gates = { keys = Array.make (3 * 1024) 0; outs = Array.make 1024 0; used = 0 } }
+
+let solver ctx = ctx.solver
 
 let tt ctx = ctx.tt
 let ff ctx = -ctx.tt
@@ -28,19 +41,61 @@ let clause ctx lits = Sat.add_clause ctx.solver lits
 
 (* --- single-bit gates ---------------------------------------------- *)
 
+(* the slot holding key (a, b, c), or the free slot where it belongs *)
+let slot t a b c =
+  let mask = Array.length t.outs - 1 in
+  let rec probe i =
+    if t.outs.(i) = 0 || (t.keys.(3 * i) = a && t.keys.((3 * i) + 1) = b && t.keys.((3 * i) + 2) = c)
+    then i
+    else probe ((i + 1) land mask)
+  in
+  let h = (((a * 0x9E3779B1) + b) * 0x9E3779B1) + c in
+  probe ((h lxor (h lsr 29)) land mask)
+
+(* double the table once it is half full *)
+let grow t =
+  let keys = t.keys and outs = t.outs in
+  t.keys <- Array.make (2 * Array.length keys) 0;
+  t.outs <- Array.make (2 * Array.length outs) 0;
+  Array.iteri
+    (fun i g ->
+      if g <> 0 then begin
+        let a = keys.(3 * i) and b = keys.((3 * i) + 1) and c = keys.((3 * i) + 2) in
+        let j = slot t a b c in
+        Array.blit keys (3 * i) t.keys (3 * j) 3;
+        t.outs.(j) <- g
+      end)
+    outs
+
+(* the gate keyed (a, b, c), built by [encode] on first use *)
+let hashed ctx a b c encode =
+  let t = ctx.gates in
+  let i = slot t a b c in
+  if t.outs.(i) <> 0 then t.outs.(i)
+  else begin
+    let g = fresh ctx in
+    encode g;
+    t.keys.(3 * i) <- a;
+    t.keys.((3 * i) + 1) <- b;
+    t.keys.((3 * i) + 2) <- c;
+    t.outs.(i) <- g;
+    t.used <- t.used + 1;
+    if 2 * t.used > Array.length t.outs then grow t;
+    g
+  end
+
 let and2 ctx a b =
   if a = ff ctx || b = ff ctx then ff ctx
   else if a = tt ctx then b
   else if b = tt ctx then a
   else if a = b then a
   else if a = -b then ff ctx
-  else begin
-    let g = fresh ctx in
-    clause ctx [ -g; a ];
-    clause ctx [ -g; b ];
-    clause ctx [ g; -a; -b ];
-    g
-  end
+  else
+    let a, b = if a < b then (a, b) else (b, a) in
+    hashed ctx 0 a b (fun g ->
+        clause ctx [ -g; a ];
+        clause ctx [ -g; b ];
+        clause ctx [ g; -a; -b ])
 
 let or2 ctx a b = -and2 ctx (-a) (-b)
 
@@ -51,27 +106,30 @@ let xor2 ctx a b =
   else if b = tt ctx then -a
   else if a = b then ff ctx
   else if a = -b then tt ctx
-  else begin
-    let g = fresh ctx in
-    clause ctx [ -g; a; b ];
-    clause ctx [ -g; -a; -b ];
-    clause ctx [ g; -a; b ];
-    clause ctx [ g; a; -b ];
-    g
-  end
+  else
+    (* xor (-a) b = -(xor a b): hash on magnitudes, sign from the parity *)
+    let negated = (a < 0) <> (b < 0) in
+    let a, b = if abs a < abs b then (abs a, abs b) else (abs b, abs a) in
+    let g =
+      hashed ctx a b 0 (fun g ->
+          clause ctx [ -g; a; b ];
+          clause ctx [ -g; -a; -b ];
+          clause ctx [ g; -a; b ];
+          clause ctx [ g; a; -b ])
+    in
+    if negated then -g else g
 
 let ite ctx s a b =
   if s = tt ctx then a
   else if s = ff ctx then b
   else if a = b then a
-  else begin
-    let g = fresh ctx in
-    clause ctx [ -g; -s; a ];
-    clause ctx [ -g; s; b ];
-    clause ctx [ g; -s; -a ];
-    clause ctx [ g; s; -b ];
-    g
-  end
+  else
+    let s, a, b = if s > 0 then (s, a, b) else (-s, b, a) in
+    hashed ctx s a b (fun g ->
+        clause ctx [ -g; -s; a ];
+        clause ctx [ -g; s; b ];
+        clause ctx [ g; -s; -a ];
+        clause ctx [ g; s; -b ])
 
 let and_list ctx = List.fold_left (and2 ctx) (tt ctx)
 let or_list ctx = List.fold_left (or2 ctx) (ff ctx)

@@ -1,9 +1,17 @@
-(** Tseitin encoding of word-level operations into CNF.
+(** Tseitin encoding of word-level operations into CNF, with structural
+    hashing.
 
     A {!bits} value is an array of SAT literals, LSB first. The word-level
     operators mirror {!Sic_ir.Eval} exactly (same width rules, same
     signedness handling); the test suite checks the two against each other
-    on random expressions and inputs. *)
+    on random expressions and inputs.
+
+    {!and2}, {!xor2} and {!ite} memoise on canonical operands (operand
+    order, the operands' signs for [xor2], the selector's sign for [ite]):
+    asking again for a gate the context already built, in any of its
+    equivalent forms, returns the same literal and adds no variable or
+    clause. {!or2} and everything built from these gates share through
+    them. *)
 
 module Bv = Sic_bv.Bv
 
@@ -11,14 +19,16 @@ exception Unsupported of string
 (** An operation the encoding does not support (e.g. very wide
     multiplication); {!Sic_formal.Bmc} reports it per cover point. *)
 
-type ctx = { solver : Sat.t; tt : int }
-(** An encoding context: the solver plus a literal constrained true
-    (concrete because {!Unroll}/{!Bmc} reach into [solver] directly). *)
+type ctx
+(** An encoding context: the solver, a literal constrained true, and the
+    table of gates built so far. *)
 
 type bits = int array
 (** A word as SAT literals, LSB first. *)
 
 val create : Sat.t -> ctx
+
+val solver : ctx -> Sat.t
 
 (** {1 Literal-level primitives} *)
 

@@ -27,8 +27,11 @@ type t = {
   mutable decisions : int;
   mutable propagations : int;
   mutable root_units : int list;  (* unit clauses to (re)apply at level 0 *)
-  mutable original : int list list;  (* user clauses as added, for export *)
+  mutable problem : clause array;  (* attached problem clauses, for export *)
+  mutable nproblem : int;  (* live length of [problem] *)
 }
+
+let no_clause = { lits = [||] }
 
 let create () =
   {
@@ -54,11 +57,15 @@ let create () =
     decisions = 0;
     propagations = 0;
     root_units = [];
-    original = [];
+    problem = Array.make 16 no_clause;
+    nproblem = 0;
   }
 
 let nb_vars s = s.nvars
-let nb_clauses s = List.length s.original
+let nb_clauses s = s.nproblem
+let decisions s = s.decisions
+let conflicts s = s.conflicts
+let propagations s = s.propagations
 
 let lit_index l = if l > 0 then 2 * l else (2 * -l) + 1
 
@@ -160,6 +167,13 @@ let bump s v =
     s.var_inc <- s.var_inc *. 1e-100
   end;
   if s.heap_pos.(v) >= 0 then heap_up s s.heap_pos.(v)
+
+let prefer s vars =
+  List.iter
+    (fun v ->
+      s.activity.(v) <- Float.max s.activity.(v) 1e50;
+      if s.heap_pos.(v) >= 0 then heap_up s s.heap_pos.(v))
+    vars
 
 (* --- assignment ---------------------------------------------------- *)
 
@@ -279,7 +293,13 @@ let add_normalized s lits =
           | -1 -> s.ok <- false
           | _ -> ()
         end
-    | _ -> attach s { lits }
+    | _ ->
+        let c = { lits } in
+        attach s c;
+        if s.nproblem = Array.length s.problem then
+          s.problem <- grow_array s.problem (2 * s.nproblem) no_clause;
+        s.problem.(s.nproblem) <- c;
+        s.nproblem <- s.nproblem + 1
   end
 
 (* Normalize a clause: sort, drop duplicates, and report tautologies as
@@ -303,10 +323,7 @@ let normalize = function
       if List.exists (fun l -> List.mem (-l) lits) lits then None else Some (Array.of_list lits)
 
 let add_clause s lits =
-  if s.ok then begin
-    s.original <- lits :: s.original;
-    match normalize lits with Some lits -> add_normalized s lits | None -> ()
-  end
+  if s.ok then match normalize lits with Some lits -> add_normalized s lits | None -> ()
 
 (* --- conflict analysis (first UIP) --------------------------------- *)
 
@@ -494,17 +511,26 @@ let stats s =
   Printf.sprintf "conflicts=%d decisions=%d propagations=%d vars=%d" s.conflicts
     s.decisions s.propagations s.nvars
 
-(* DIMACS CNF export of the user clauses (not learnt ones), so instances
-   can be handed to external SAT solvers. *)
+(* DIMACS CNF export, so instances can be handed to external SAT
+   solvers: the empty clause once the solver is known unsatisfiable, then
+   the root units, then the attached problem clauses (learnt ones are
+   left out). Problem clauses were simplified against the root assignment
+   as they were added, so the export is equisatisfiable with the clauses
+   added rather than a copy of them. *)
 let to_dimacs s =
   let buf = Buffer.create 4096 in
-  let clauses = List.rev s.original in
-  Buffer.add_string buf (Printf.sprintf "p cnf %d %d\n" s.nvars (List.length clauses));
-  List.iter
-    (fun c ->
-      List.iter (fun l -> Buffer.add_string buf (string_of_int l ^ " ")) c;
-      Buffer.add_string buf "0\n")
-    clauses;
+  let clause lits =
+    Array.iter (fun l -> Buffer.add_string buf (string_of_int l ^ " ")) lits;
+    Buffer.add_string buf "0\n"
+  in
+  let empty = if s.ok then 0 else 1 in
+  Buffer.add_string buf
+    (Printf.sprintf "p cnf %d %d\n" s.nvars (empty + List.length s.root_units + s.nproblem));
+  if not s.ok then clause [||];
+  List.iter (fun l -> clause [| l |]) (List.rev s.root_units);
+  for i = 0 to s.nproblem - 1 do
+    clause s.problem.(i).lits
+  done;
   Buffer.contents buf
 
 exception Dimacs_error of string

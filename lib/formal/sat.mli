@@ -1,7 +1,13 @@
 (** A CDCL SAT solver: two-watched-literal propagation, first-UIP conflict
     learning, VSIDS-style branching with phase saving, and Luby restarts.
     Built from scratch as the engine under the SymbiYosys-analogue BMC
-    backend. *)
+    backend.
+
+    A caller that knows the instance's structure can {!prefer} variables
+    to branch on first (BMC prefers a circuit's input bits, on which every
+    gate output depends). Each problem clause is stored once, in the record
+    the watch lists point at; that store is also what {!to_dimacs}
+    exports. *)
 
 type t
 
@@ -13,13 +19,21 @@ val new_var : t -> int
 val nb_vars : t -> int
 
 val nb_clauses : t -> int
-(** Clauses added with {!add_clause} (learnt ones not included). *)
+(** Problem clauses of two or more literals that {!add_clause} kept after
+    simplifying against the root assignment. Units become root
+    assignments and are not counted; neither are learnt clauses. O(1). *)
 
 (** A literal is [+v] (variable true) or [-v] (variable false). *)
 
 val add_clause : t -> int list -> unit
 (** Add a clause. Adding the empty clause makes the instance trivially
     unsatisfiable. Clauses may be added between [solve] calls. *)
+
+val prefer : t -> int list -> unit
+(** [prefer s vars] raises the VSIDS activity of each variable in [vars]
+    to 1e50, so the search branches on them before any other unassigned
+    variable. Conflict bumps keep growing, so later conflicts can still
+    overtake them. *)
 
 type result = Sat | Unsat
 
@@ -31,6 +45,12 @@ val value : t -> int -> bool
 (** Model value of a variable after [Sat]. Unconstrained variables report
     their saved phase. *)
 
+val decisions : t -> int
+val conflicts : t -> int
+
+val propagations : t -> int
+(** Search counters, cumulative over every {!solve} call on [t]. *)
+
 val stats : t -> string
 (** One-line human-readable statistics (conflicts, decisions,
     propagations). *)
@@ -40,7 +60,11 @@ val stats : t -> string
 exception Dimacs_error of string
 
 val to_dimacs : t -> string
-(** Export the user clauses in DIMACS CNF, for external solvers. *)
+(** Export, in DIMACS CNF, a problem equisatisfiable with the clauses
+    added so far: the empty clause if the solver already derived
+    unsatisfiability, then the root units, then the stored problem
+    clauses (each simplified against the root assignment when it was
+    added). Learnt clauses are left out. *)
 
 val of_dimacs : string -> t
 (** Parse a DIMACS instance into a fresh solver. *)

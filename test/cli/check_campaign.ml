@@ -1,7 +1,8 @@
 (* CLI regression for [sic campaign] / [sic db]: the coverage database a
    campaign produces must be byte-for-byte independent of -j (on a plain
    campaign, and on one whose waves carry every result shape a worker
-   ships back: lane jobs, timelines, fuzz and BMC-witness runs), a crashed
+   ships back: lane jobs, timelines, fuzz and BMC-witness runs, and on one
+   whose later waves have no points left to run), a crashed
    worker must be recorded as a failed run without killing the campaign,
    and [sic db rank] must pick a run subset whose merged coverage equals
    the full aggregate.
@@ -41,6 +42,17 @@ let shapes_args =
   "--design counter --design uart --waves 'interp+lanes,fuzz,bmc-witness' --lanes 2 \
    --seeds 3 --cycles 5 --execs 20 --seed 7"
 
+(* default cycles cover every point of both designs in wave 0, so the
+   removal pass leaves the fuzz and BMC-witness waves nothing to run *)
+let skip_args =
+  "--design counter --design uart --waves 'interp+lanes,fuzz,bmc-witness' --lanes 2 \
+   --seeds 3 --seed 7 --profile=skip_profile.ndjson"
+
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  go 0
+
 (* run [args] at -j 1 and -j 4 into [<name>_j1] and [<name>_j4]: every
    counts and timeline file — per-run and the cached aggregate — must be
    byte-identical, and the manifests agree on everything but wall time.
@@ -78,6 +90,15 @@ let () =
   (* 2 designs x 4 backends over 3 waves x 3 runs each *)
   let _, runs = check_j_independent "shapes" shapes_args in
   if runs <> 24 then fail "expected 24 runs (2 designs x 4 backends x 3 seeds), got %d" runs;
+  (* jobs of designs with no points left are skipped and counted, and
+     still draw their seeds: the 12 wave-0 runs match the shapes case's *)
+  let dbs, runs = check_j_independent "skip" skip_args in
+  if runs <> 12 then fail "expected 12 runs (wave 0 only), got %d" runs;
+  let seeds db = List.map (fun r -> (r.Db.design, r.Db.backend, r.Db.seed)) (Db.runs db) in
+  if seeds dbs <> List.filteri (fun i _ -> i < 12) (seeds (Db.load "shapes_j4")) then
+    fail "skipping jobs moved the seeds of the runs that ran";
+  if not (contains (read_file "skip_profile.ndjson") "\"name\":\"fleet.jobs_skipped\",\"value\":12")
+  then fail "fleet.jobs_skipped does not count the 12 skipped jobs";
   (* an injected worker crash: recorded as a failed run, campaign completes
      — and the exhausted retries surface as a nonzero exit for CI *)
   run_expect 1
@@ -96,11 +117,6 @@ let () =
   run "db report db_j4 --timeline --html db_j4_report.html";
   if not (Sys.file_exists "db_j4_report.html") then fail "db report --html wrote nothing";
   let html = read_file "db_j4_report.html" in
-  let contains hay needle =
-    let nh = String.length hay and nn = String.length needle in
-    let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-    go 0
-  in
   if not (contains html "coverage convergence") then
     fail "HTML report lacks the convergence-curve section";
   run "db rank db_j4";

@@ -82,11 +82,13 @@ let test_corpus_round_trip () =
   Alcotest.(check (list string)) "missing dir is empty" []
     (List.map Bytes.to_string (Fuzzer.load_corpus (fresh_dir "close_nodir")))
 
-let close_fixture ~jobs dir =
-  let low = closefix () in
+let close_design ~design ~circuit ~bound ~jobs dir =
   let db = Db.init dir in
-  let config = { (Close.default_config ~design:"closefix" ~circuit:low) with bound = 8; jobs } in
+  let config = { (Close.default_config ~design ~circuit) with bound; jobs } in
   (Close.close ~db config, db)
+
+let close_fixture ~jobs dir =
+  close_design ~design:"closefix" ~circuit:(closefix ()) ~bound:8 ~jobs dir
 
 let test_close_reaches_fixpoint () =
   let dir = fresh_dir "close_fix" in
@@ -106,9 +108,12 @@ let test_close_reaches_fixpoint () =
   Alcotest.(check bool) "rank converges on the closed db" true
     (contains ~needle:"\"uncovered\":[]" (Sic_obs.Json.to_string (Db.rank_json db)))
 
-let test_close_db_bytes_j_independent () =
-  let dir1 = fresh_dir "close_j1" and dir4 = fresh_dir "close_j4" in
-  let _ = close_fixture ~jobs:1 dir1 and _ = close_fixture ~jobs:4 dir4 in
+(* close [design] at -j 1 and -j 4: every database file must be
+   byte-identical; returns the -j 1 outcome *)
+let check_db_bytes_j_independent ~design ~circuit ~bound =
+  let dir1 = fresh_dir (design ^ "_j1") and dir4 = fresh_dir (design ^ "_j4") in
+  let o, _ = close_design ~design ~circuit ~bound ~jobs:1 dir1 in
+  let _ = close_design ~design ~circuit ~bound ~jobs:4 dir4 in
   let listing dir = List.sort compare (Array.to_list (Sys.readdir dir)) in
   let files1 = List.filter (fun f -> f <> "lock") (listing dir1) in
   Alcotest.(check (list string)) "same files at -j1 and -j4" files1
@@ -121,7 +126,19 @@ let test_close_db_bytes_j_independent () =
         (Printf.sprintf "%s byte-identical across -j" f)
         (read_file (Filename.concat dir1 f))
         (read_file (Filename.concat dir4 f)))
-    files1
+    files1;
+  o
+
+let test_close_db_bytes_j_independent () =
+  ignore (check_db_bytes_j_independent ~design:"closefix" ~circuit:(closefix ()) ~bound:8)
+
+(* the same at a realistic size: uart at bound 20, 31 single-point jobs *)
+let test_close_uart_j_independent () =
+  let circuit = lower (fst (Line.instrument (Sic_designs.Uart.circuit ()))) in
+  let o = check_db_bytes_j_independent ~design:"uart" ~circuit ~bound:20 in
+  let sum f = List.fold_left (fun acc w -> acc + f w) 0 o.Close.waves in
+  Alcotest.(check int) "22 points witnessed" 22 (sum (fun w -> w.Close.witnessed));
+  Alcotest.(check int) "9 points excluded" 9 (sum (fun w -> w.Close.excluded))
 
 let test_exclusions_idempotent () =
   let dir = fresh_dir "close_excl" in
@@ -153,5 +170,7 @@ let tests =
     Alcotest.test_case "close reaches fixpoint" `Quick test_close_reaches_fixpoint;
     Alcotest.test_case "close db bytes -j independent" `Quick
       test_close_db_bytes_j_independent;
+    Alcotest.test_case "close uart db bytes -j independent" `Quick
+      test_close_uart_j_independent;
     Alcotest.test_case "exclusions idempotent" `Quick test_exclusions_idempotent;
   ]

@@ -107,14 +107,23 @@ let brute_force_sat nvars clauses =
   in
   go [] 1
 
+(* the brute-force check, with a random subset of the variables preferred
+   for branching: a preference steers the search, never the verdict *)
 let test_sat_random =
+  let gen =
+    QCheck.Gen.(
+      let* nvars, clauses = gen_cnf in
+      let* preferred = list_size (int_bound nvars) (int_range 1 nvars) in
+      return (nvars, clauses, preferred))
+  in
   QCheck.Test.make ~count:200 ~name:"cdcl agrees with brute force"
-    (QCheck.make gen_cnf) (fun (nvars, clauses) ->
+    (QCheck.make gen) (fun (nvars, clauses, preferred) ->
       let s = Sat.create () in
       for _ = 1 to nvars do
         ignore (Sat.new_var s)
       done;
       List.iter (Sat.add_clause s) clauses;
+      Sat.prefer s preferred;
       let result = Sat.solve s in
       let expected = brute_force_sat nvars clauses in
       match result with
@@ -181,6 +190,39 @@ let test_dimacs_roundtrip =
          let s2 = Sat.of_dimacs (Sat.to_dimacs s1) in
          Sat.solve s1 = Sat.solve s2))
 
+(* the export is equisatisfiable, not a copy: units become root
+   assignments and simplify later clauses, a unit added after a solve
+   waits as a root unit for the next one, and a solver that units made
+   unsatisfiable exports the empty clause *)
+let test_dimacs_root_units () =
+  let round_trip name s expected =
+    let s' = Sat.of_dimacs (Sat.to_dimacs s) in
+    Alcotest.(check bool) (name ^ ": export agrees") true (Sat.solve s' = expected);
+    Alcotest.(check bool) (name ^ ": original agrees") true (Sat.solve s = expected)
+  in
+  let s = Sat.create () in
+  let a = Sat.new_var s and b = Sat.new_var s and c = Sat.new_var s in
+  Sat.add_clause s [ a ];
+  Sat.add_clause s [ -a; b; c ];
+  Sat.add_clause s [ -b; c ];
+  Sat.add_clause s [ a; -c ];
+  round_trip "root units" s Sat.Sat;
+  let s = Sat.create () in
+  let a = Sat.new_var s and b = Sat.new_var s in
+  Sat.add_clause s [ a; b ];
+  Sat.add_clause s [ -a; -b ];
+  round_trip "exactly one of a, b" s Sat.Sat;
+  Sat.add_clause s [ a ];
+  Sat.add_clause s [ b ];
+  round_trip "units added after a solve" s Sat.Unsat;
+  let s = Sat.create () in
+  let a = Sat.new_var s in
+  Sat.add_clause s [ a ];
+  Sat.add_clause s [ -a ];
+  Alcotest.(check bool) "the empty clause is exported" true
+    (contains ~needle:"\n0\n" (Sat.to_dimacs s));
+  round_trip "unsat by units" s Sat.Unsat
+
 (* exhaustive gate checks at small widths: adder and comparators over all
    4-bit operand pairs, solved as constants (no search needed) *)
 let test_gate_exhaustive () =
@@ -208,6 +250,60 @@ let test_gate_exhaustive () =
         (Bv.to_bool (Gate.model_value ctx [| eq |]))
     done
   done
+
+(* --- structural hashing ---------------------------------------------- *)
+
+(* each equivalent form of a gate the context already built returns its
+   literal and allocates nothing; every hashed gate still computes its
+   function under all eight assignments of its operands *)
+let test_gate_hashing () =
+  let solver = Sat.create () in
+  let ctx = Gate.create solver in
+  let a = Gate.fresh ctx and b = Gate.fresh ctx and s = Gate.fresh ctx in
+  let same name expected build =
+    let vars = Sat.nb_vars solver and clauses = Sat.nb_clauses solver in
+    Alcotest.(check int) name expected (build ());
+    Alcotest.(check int) (name ^ ": no new variable") vars (Sat.nb_vars solver);
+    Alcotest.(check int) (name ^ ": no new clause") clauses (Sat.nb_clauses solver)
+  in
+  let ab = Gate.and2 ctx a b in
+  same "and2 repeated" ab (fun () -> Gate.and2 ctx a b);
+  same "and2 commuted" ab (fun () -> Gate.and2 ctx b a);
+  let or_ = Gate.or2 ctx a (-b) in
+  same "or2 is and2 of the negations" or_ (fun () -> -Gate.and2 ctx (-a) b);
+  same "or2 commuted" or_ (fun () -> Gate.or2 ctx (-b) a);
+  let x = Gate.xor2 ctx a b in
+  same "xor2 repeated" x (fun () -> Gate.xor2 ctx a b);
+  same "xor2 commuted" x (fun () -> Gate.xor2 ctx b a);
+  same "xor2 (-a) b = -(xor2 a b)" (-x) (fun () -> Gate.xor2 ctx (-a) b);
+  same "xor2 a (-b) = -(xor2 a b)" (-x) (fun () -> Gate.xor2 ctx a (-b));
+  same "xor2 (-a) (-b) = xor2 a b" x (fun () -> Gate.xor2 ctx (-b) (-a));
+  let i = Gate.ite ctx s a b in
+  same "ite repeated" i (fun () -> Gate.ite ctx s a b);
+  same "ite on the negated selector" i (fun () -> Gate.ite ctx (-s) b a);
+  let holds l = if l > 0 then Sat.value solver l else not (Sat.value solver (-l)) in
+  for m = 0 to 7 do
+    let va = m land 1 <> 0 and vb = m land 2 <> 0 and vs = m land 4 <> 0 in
+    let lit v x = if x then v else -v in
+    (match Sat.solve ~assumptions:[ lit a va; lit b vb; lit s vs ] solver with
+    | Sat.Sat -> ()
+    | Sat.Unsat -> Alcotest.fail "gate definitions must be satisfiable");
+    let at = Printf.sprintf " at a=%b b=%b s=%b" va vb vs in
+    Alcotest.(check bool) ("and2" ^ at) (va && vb) (holds ab);
+    Alcotest.(check bool) ("or2" ^ at) (va || not vb) (holds or_);
+    Alcotest.(check bool) ("xor2" ^ at) (va <> vb) (holds x);
+    Alcotest.(check bool) ("ite" ^ at) (if vs then va else vb) (holds i)
+  done
+
+(* hashing shares the gates repeated within and across frames: whole-circuit
+   uart at bound 40 encoded 10,447 variables before it *)
+let test_gate_hashing_uart () =
+  let low = lower (fst (Sic_coverage.Line_coverage.instrument (Sic_designs.Uart.circuit ()))) in
+  let u = Sic_formal.Unroll.unroll low ~bound:40 in
+  let vars = Sat.nb_vars (Gate.solver u.Sic_formal.Unroll.ctx) in
+  Alcotest.(check bool)
+    (Printf.sprintf "uart at bound 40: %d < 10447 variables" vars)
+    true (vars < 10447)
 
 (* --- BMC -------------------------------------------------------------- *)
 
@@ -462,6 +558,9 @@ let tests =
     QCheck_alcotest.to_alcotest test_gate_vs_eval;
     Alcotest.test_case "gates: exhaustive 4-bit adder/compare" `Quick test_gate_exhaustive;
     test_dimacs_roundtrip;
+    Alcotest.test_case "dimacs: root units and unsat by units" `Quick test_dimacs_root_units;
+    Alcotest.test_case "gates: structural hashing" `Quick test_gate_hashing;
+    Alcotest.test_case "gates: hashing shrinks whole-circuit uart" `Quick test_gate_hashing_uart;
     Alcotest.test_case "bmc: fsm reachability" `Quick test_bmc_fsm;
     Alcotest.test_case "bmc: dead cover detection" `Quick test_bmc_unreachable;
     Alcotest.test_case "bmc: synchronous memory modelling" `Quick test_bmc_sync_mem;
