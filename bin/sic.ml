@@ -1214,7 +1214,9 @@ let campaign_cmd =
           match consumers with [] -> None | cs -> Some (fun ev -> List.iter (fun f -> f ev) cs)
         in
         let summary = Fleet.run_campaign ~inject_crash ?on_event ~db spec in
-        (match prog with Some p -> Fleet.Progress.finish p | None -> ());
+        (match prog with
+        | Some p -> Fleet.Progress.finish ~skipped:summary.Fleet.skipped p
+        | None -> ());
         (summary, already, worker)
         in
         print_string (Fleet.render_summary summary);

@@ -806,6 +806,7 @@ module Progress = struct
     started : float;
     mutable done_ : int;  (** finished jobs, failed included *)
     mutable failed : int;
+    mutable skipped : int;  (** jobs never run, counted as done *)
     mutable running : int;
     mutable units_finished : int;  (** budget units from finished jobs *)
     hb : (int, int) Hashtbl.t;  (** job index -> latest heartbeat cycles *)
@@ -825,6 +826,7 @@ module Progress = struct
       started = Unix.gettimeofday ();
       done_ = 0;
       failed = 0;
+      skipped = 0;
       running = 0;
       units_finished = 0;
       hb = Hashtbl.create 16;
@@ -859,8 +861,9 @@ module Progress = struct
       if t.total > 0 then Printf.sprintf "%d/%d done" t.done_ t.total
       else Printf.sprintf "%d done" t.done_
     in
-    Printf.sprintf "%s %s%s, %d running | %d/%d pts | %.0f cyc/s%s" t.label progress
+    Printf.sprintf "%s %s%s%s, %d running | %d/%d pts | %.0f cyc/s%s" t.label progress
       (if t.failed > 0 then Printf.sprintf " (%d failed)" t.failed else "")
+      (if t.skipped > 0 then Printf.sprintf " (%d skipped)" t.skipped else "")
       t.running covered_pts total_pts throughput eta
 
   let render ?(force = false) t =
@@ -903,7 +906,9 @@ module Progress = struct
     t.ext <- Some (covered, points, units);
     render t
 
-  let finish t =
+  let finish ?(skipped = 0) t =
+    t.skipped <- skipped;
+    t.done_ <- t.done_ + skipped;
     render ~force:true t;
     output_string t.out "\n";
     flush t.out

@@ -259,8 +259,10 @@ module Progress : sig
       [running] shows as the running-worker count, [units] drives the
       throughput figure. *)
 
-  val finish : t -> unit
-  (** Force a final render and terminate the line. *)
+  val finish : ?skipped:int -> t -> unit
+  (** Force a final render and terminate the line. [skipped] jobs (those
+      {!run_campaign} never ran, [summary.skipped]) count as done, so the
+      last line reads "N/N done (M skipped)". *)
 end
 
 val run_campaign :

@@ -93,9 +93,9 @@ let and2 ctx a b =
   else
     let a, b = if a < b then (a, b) else (b, a) in
     hashed ctx 0 a b (fun g ->
-        clause ctx [ -g; a ];
-        clause ctx [ -g; b ];
-        clause ctx [ g; -a; -b ])
+        Sat.add_clause2 ctx.solver (-g) a;
+        Sat.add_clause2 ctx.solver (-g) b;
+        Sat.add_clause3 ctx.solver g (-a) (-b))
 
 let or2 ctx a b = -and2 ctx (-a) (-b)
 
@@ -112,10 +112,10 @@ let xor2 ctx a b =
     let a, b = if abs a < abs b then (abs a, abs b) else (abs b, abs a) in
     let g =
       hashed ctx a b 0 (fun g ->
-          clause ctx [ -g; a; b ];
-          clause ctx [ -g; -a; -b ];
-          clause ctx [ g; -a; b ];
-          clause ctx [ g; a; -b ])
+          Sat.add_clause3 ctx.solver (-g) a b;
+          Sat.add_clause3 ctx.solver (-g) (-a) (-b);
+          Sat.add_clause3 ctx.solver g (-a) b;
+          Sat.add_clause3 ctx.solver g a (-b))
     in
     if negated then -g else g
 
@@ -126,10 +126,10 @@ let ite ctx s a b =
   else
     let s, a, b = if s > 0 then (s, a, b) else (-s, b, a) in
     hashed ctx s a b (fun g ->
-        clause ctx [ -g; -s; a ];
-        clause ctx [ -g; s; b ];
-        clause ctx [ g; -s; -a ];
-        clause ctx [ g; s; -b ])
+        Sat.add_clause3 ctx.solver (-g) (-s) a;
+        Sat.add_clause3 ctx.solver (-g) s b;
+        Sat.add_clause3 ctx.solver g (-s) (-a);
+        Sat.add_clause3 ctx.solver g s (-b))
 
 let and_list ctx = List.fold_left (and2 ctx) (tt ctx)
 let or_list ctx = List.fold_left (or2 ctx) (ff ctx)

@@ -1,20 +1,36 @@
 (* A compact CDCL solver in the Minisat lineage. Literals are nonzero ints
    (+v / -v); internally a literal [l] is indexed as [2v] (positive) or
-   [2v+1] (negative) for the watch lists. *)
+   [2v+1] (negative) for the watch lists.
 
-type clause = { lits : int array }
+   Every clause, problem or learnt, lives in one growable int array, the
+   arena, and is named by the offset [c] of its header:
+
+     arena.(c)              n, the number of literals
+     arena.(c + 1)          next clause in the watch list of literal 0
+     arena.(c + 2)          next clause in the watch list of literal 1
+     arena.(c + 3 ..)       the n literals; 0 and 1 are the watched ones
+
+   A watch list is a singly-linked list threaded through those link
+   words, with one head per literal index; -1 ends a list, and -1 is also
+   "no clause" wherever a clause is expected. A clause sits in exactly two
+   lists, and its literal 0 and its first link word always move
+   together, as do literal 1 and the second. *)
+
+let header = 3
 
 type t = {
   mutable nvars : int;
   mutable assign : int array;  (* var -> 0 unassigned / +1 true / -1 false *)
   mutable level : int array;
-  mutable reason : clause option array;
+  mutable reason : int array;  (* var -> the clause that implied it, or -1 *)
   mutable activity : float array;
   mutable phase : bool array;
   mutable heap : int array;  (* binary max-heap of vars by activity *)
   mutable heap_pos : int array;  (* var -> index in heap, -1 if absent *)
   mutable heap_size : int;
-  mutable watches : clause list array;  (* lit index -> watching clauses *)
+  mutable watches : int array;  (* lit index -> first watching clause, or -1 *)
+  mutable arena : int array;  (* every clause, as laid out above *)
+  mutable arena_size : int;  (* live length of [arena] *)
   mutable trail : int array;
   mutable trail_size : int;
   mutable trail_lim : int array;  (* level l+1 starts at trail.(trail_lim.(l)) *)
@@ -27,29 +43,34 @@ type t = {
   mutable decisions : int;
   mutable propagations : int;
   mutable root_units : int list;  (* unit clauses to (re)apply at level 0 *)
-  mutable problem : clause array;  (* attached problem clauses, for export *)
+  mutable problem : int array;  (* attached problem clauses, for export *)
   mutable nproblem : int;  (* live length of [problem] *)
 }
 
-let no_clause = { lits = [||] }
-
-let create () =
+(* [vars] sizes the per-variable arrays and the arena for that many
+   variables, so that an instance of about that size never regrows them.
+   A Tseitin encoding has about 3.3 clauses of two or three literals per
+   variable, about 19 arena words, rounded up to 24. *)
+let create ?(vars = 16) () =
+  let n = max 16 (vars + 1) in
   {
     nvars = 0;
-    assign = Array.make 16 0;
-    level = Array.make 16 0;
-    reason = Array.make 16 None;
-    activity = Array.make 16 0.0;
-    phase = Array.make 16 false;
-    heap = Array.make 16 0;
-    heap_pos = Array.make 16 (-1);
+    assign = Array.make n 0;
+    level = Array.make n 0;
+    reason = Array.make n (-1);
+    activity = Array.make n 0.0;
+    phase = Array.make n false;
+    heap = Array.make n 0;
+    heap_pos = Array.make n (-1);
     heap_size = 0;
-    watches = Array.make 32 [];
-    trail = Array.make 16 0;
+    watches = Array.make (2 * n) (-1);
+    arena = Array.make (24 * n) 0;
+    arena_size = 0;
+    trail = Array.make n 0;
     trail_size = 0;
-    trail_lim = Array.make 16 0;
+    trail_lim = Array.make n 0;
     dlevel = 0;
-    seen = Array.make 16 false;
+    seen = Array.make n false;
     qhead = 0;
     var_inc = 1.0;
     ok = true;
@@ -57,7 +78,7 @@ let create () =
     decisions = 0;
     propagations = 0;
     root_units = [];
-    problem = Array.make 16 no_clause;
+    problem = Array.make (4 * n) 0;
     nproblem = 0;
   }
 
@@ -127,7 +148,7 @@ let heap_pop s =
 
 (* --- variables ----------------------------------------------------- *)
 
-(* Every per-variable array has the same capacity (the watch lists twice
+(* Every per-variable array has the same capacity (the watch heads twice
    it), so one check grows them all. The heap, the trail and the level
    boundaries never hold more than one entry per variable. *)
 let new_var s =
@@ -137,7 +158,7 @@ let new_var s =
     let n = 2 * Array.length s.assign in
     s.assign <- grow_array s.assign n 0;
     s.level <- grow_array s.level n 0;
-    s.reason <- grow_array s.reason n None;
+    s.reason <- grow_array s.reason n (-1);
     s.activity <- grow_array s.activity n 0.0;
     s.phase <- grow_array s.phase n false;
     s.heap <- grow_array s.heap n 0;
@@ -145,14 +166,14 @@ let new_var s =
     s.trail <- grow_array s.trail n 0;
     s.trail_lim <- grow_array s.trail_lim n 0;
     s.seen <- grow_array s.seen n false;
-    s.watches <- grow_array s.watches (2 * n) []
+    s.watches <- grow_array s.watches (2 * n) (-1)
   end;
   heap_insert s v;
   v
 
 let lit_value s l =
   let a = s.assign.(abs l) in
-  if a = 0 then 0 else if (l > 0) = (a > 0) then 1 else -1
+  if l > 0 then a else -a
 
 let new_level s =
   s.trail_lim.(s.dlevel) <- s.trail_size;
@@ -192,7 +213,7 @@ let backtrack s lvl =
     for i = bound to s.trail_size - 1 do
       let v = abs s.trail.(i) in
       s.assign.(v) <- 0;
-      s.reason.(v) <- None;
+      s.reason.(v) <- -1;
       heap_insert s v
     done;
     s.trail_size <- bound;
@@ -202,74 +223,119 @@ let backtrack s lvl =
 
 (* --- propagation --------------------------------------------------- *)
 
-exception Conflict of clause
-
-let propagate s : clause option =
-  try
-    while s.qhead < s.trail_size do
-      let l = s.trail.(s.qhead) in
-      s.qhead <- s.qhead + 1;
-      s.propagations <- s.propagations + 1;
-      let falsified = -l in
-      let idx = lit_index falsified in
-      let watching = s.watches.(idx) in
-      s.watches.(idx) <- [];
-      let rekeep = ref [] in
-      let rec process = function
-        | [] -> ()
-        | c :: rest -> (
-            (* ensure falsified literal is at position 1 *)
-            if c.lits.(0) = falsified then begin
-              c.lits.(0) <- c.lits.(1);
-              c.lits.(1) <- falsified
-            end;
-            if lit_value s c.lits.(0) = 1 then begin
-              (* already satisfied: keep watching *)
-              rekeep := c :: !rekeep;
-              process rest
-            end
-            else
-              (* find a new literal to watch *)
-              let n = Array.length c.lits in
-              let rec find i =
-                if i >= n then None
-                else if lit_value s c.lits.(i) <> -1 then Some i
-                else find (i + 1)
-              in
-              match find 2 with
-              | Some i ->
-                  let w = c.lits.(i) in
-                  c.lits.(i) <- falsified;
-                  c.lits.(1) <- w;
-                  s.watches.(lit_index w) <- c :: s.watches.(lit_index w);
-                  process rest
-              | None ->
-                  rekeep := c :: !rekeep;
-                  if lit_value s c.lits.(0) = -1 then begin
-                    (* conflict: restore remaining watchers *)
-                    List.iter (fun c' -> rekeep := c' :: !rekeep) rest;
-                    s.watches.(idx) <- !rekeep;
-                    s.qhead <- s.trail_size;
-                    raise (Conflict c)
-                  end
-                  else begin
-                    enqueue s c.lits.(0) (Some c);
-                    process rest
-                  end)
-      in
-      process watching;
-      (* the slot is still empty: a clause's new watch is never the
-         falsified literal, so nothing was pushed onto it meanwhile *)
-      s.watches.(idx) <- !rekeep
+(* Visit the clauses watching each newly falsified literal, in list
+   order, and return the conflicting clause or -1. A clause whose
+   literal 0 is the falsified one first swaps literals 0 and 1 and their
+   link words, so the falsified literal is literal 1 and its link is
+   [c + 2]. A clause that finds a new watch moves to the head of that
+   literal's list; every other visited clause is pushed onto a fresh head
+   for the falsified literal, so the list comes back reversed, as
+   consing each kept clause onto a new list would leave it. On a
+   conflict the unvisited rest of the list is pushed the same way,
+   unswapped. No clause is allocated here, so [arena] stays put. *)
+let propagate s =
+  let confl = ref (-1) in
+  while !confl < 0 && s.qhead < s.trail_size do
+    let l = s.trail.(s.qhead) in
+    s.qhead <- s.qhead + 1;
+    s.propagations <- s.propagations + 1;
+    let falsified = -l in
+    let idx = lit_index falsified in
+    let a = s.arena in
+    let kept = ref (-1) in
+    let c = ref s.watches.(idx) in
+    while !c >= 0 do
+      let cl = !c in
+      if a.(cl + header) = falsified then begin
+        a.(cl + header) <- a.(cl + header + 1);
+        a.(cl + header + 1) <- falsified;
+        let link = a.(cl + 1) in
+        a.(cl + 1) <- a.(cl + 2);
+        a.(cl + 2) <- link
+      end;
+      let next = a.(cl + 2) in
+      let first = a.(cl + header) in
+      if lit_value s first = 1 then begin
+        (* already satisfied: keep watching *)
+        a.(cl + 2) <- !kept;
+        kept := cl;
+        c := next
+      end
+      else begin
+        (* find a new literal to watch *)
+        let stop = cl + header + a.(cl) in
+        let i = ref (cl + header + 2) in
+        while !i < stop && lit_value s a.(!i) = -1 do
+          incr i
+        done;
+        if !i < stop then begin
+          let w = a.(!i) in
+          a.(!i) <- falsified;
+          a.(cl + header + 1) <- w;
+          let wi = lit_index w in
+          a.(cl + 2) <- s.watches.(wi);
+          s.watches.(wi) <- cl;
+          c := next
+        end
+        else begin
+          a.(cl + 2) <- !kept;
+          kept := cl;
+          if lit_value s first = -1 then begin
+            (* conflict: keep the unvisited watchers too *)
+            let r = ref next in
+            while !r >= 0 do
+              let d = !r in
+              let link = if a.(d + header) = falsified then d + 1 else d + 2 in
+              r := a.(link);
+              a.(link) <- !kept;
+              kept := d
+            done;
+            s.qhead <- s.trail_size;
+            confl := cl;
+            c := -1
+          end
+          else begin
+            enqueue s first cl;
+            c := next
+          end
+        end
+      end
     done;
-    None
-  with Conflict c -> Some c
+    (* a clause's new watch is never the falsified literal, so nothing
+       else touched this head meanwhile *)
+    s.watches.(idx) <- !kept
+  done;
+  !confl
 
 (* --- clauses ------------------------------------------------------- *)
 
+(* append the header of an [n]-literal clause; the caller writes its
+   literals at [c + header ..] *)
+let alloc s n =
+  let c = s.arena_size in
+  let size = c + header + n in
+  if size > Array.length s.arena then s.arena <- grow_array s.arena size 0;
+  s.arena.(c) <- n;
+  s.arena.(c + 1) <- -1;
+  s.arena.(c + 2) <- -1;
+  s.arena_size <- size;
+  c
+
 let attach s c =
-  s.watches.(lit_index c.lits.(0)) <- c :: s.watches.(lit_index c.lits.(0));
-  s.watches.(lit_index c.lits.(1)) <- c :: s.watches.(lit_index c.lits.(1))
+  let a = s.arena in
+  let i0 = lit_index a.(c + header) in
+  a.(c + 1) <- s.watches.(i0);
+  s.watches.(i0) <- c;
+  let i1 = lit_index a.(c + header + 1) in
+  a.(c + 2) <- s.watches.(i1);
+  s.watches.(i1) <- c
+
+let add_problem s c =
+  attach s c;
+  if s.nproblem = Array.length s.problem then
+    s.problem <- grow_array s.problem (2 * s.nproblem) 0;
+  s.problem.(s.nproblem) <- c;
+  s.nproblem <- s.nproblem + 1
 
 let root_value s l = if s.level.(abs l) = 0 then lit_value s l else 0
 
@@ -288,18 +354,15 @@ let add_normalized s lits =
         if s.dlevel = 0 then begin
           match lit_value s l with
           | 0 ->
-              enqueue s l None;
-              if propagate s <> None then s.ok <- false
+              enqueue s l (-1);
+              if propagate s >= 0 then s.ok <- false
           | -1 -> s.ok <- false
           | _ -> ()
         end
     | _ ->
-        let c = { lits } in
-        attach s c;
-        if s.nproblem = Array.length s.problem then
-          s.problem <- grow_array s.problem (2 * s.nproblem) no_clause;
-        s.problem.(s.nproblem) <- c;
-        s.nproblem <- s.nproblem + 1
+        let c = alloc s (Array.length lits) in
+        Array.blit lits 0 s.arena (c + header) (Array.length lits);
+        add_problem s c
   end
 
 (* Normalize a clause: sort, drop duplicates, and report tautologies as
@@ -325,32 +388,63 @@ let normalize = function
 let add_clause s lits =
   if s.ok then match normalize lits with Some lits -> add_normalized s lits | None -> ()
 
+(* The two- and three-literal cases of [add_clause], without allocating:
+   sorted operands that no root assignment touches go straight into the
+   arena. Duplicates and root-false literals take [add_clause]'s path. *)
+let add_clause2 s a b =
+  if s.ok && a <> -b then begin
+    let a' = Int.min a b and b' = Int.max a b in
+    let ra = root_value s a' and rb = root_value s b' in
+    if a' = b' || ra = -1 || rb = -1 then add_clause s [ a; b ]
+    else if ra = 0 && rb = 0 then begin
+      let c = alloc s 2 in
+      s.arena.(c + header) <- a';
+      s.arena.(c + header + 1) <- b';
+      add_problem s c
+    end
+  end
+
+let add_clause3 s a b c =
+  if s.ok then begin
+    let lo = Int.min a b and hi = Int.max a b in
+    let a' = Int.min lo c and b' = Int.max lo (Int.min hi c) and c' = Int.max hi c in
+    if not (a' = -b' || a' = -c' || b' = -c') then begin
+      let ra = root_value s a' and rb = root_value s b' and rc = root_value s c' in
+      if a' = b' || b' = c' || ra = -1 || rb = -1 || rc = -1 then add_clause s [ a; b; c ]
+      else if ra = 0 && rb = 0 && rc = 0 then begin
+        let cl = alloc s 3 in
+        s.arena.(cl + header) <- a';
+        s.arena.(cl + header + 1) <- b';
+        s.arena.(cl + header + 2) <- c';
+        add_problem s cl
+      end
+    end
+  end
+
 (* --- conflict analysis (first UIP) --------------------------------- *)
 
-let analyze s (confl : clause) : int list * int =
+let analyze s confl : int list * int =
   let seen = s.seen in
   let learnt = ref [] in
   let counter = ref 0 in
   let p = ref 0 in
   (* 0 = "take all of confl" *)
-  let confl = ref (Some confl) in
+  let confl = ref confl in
   let trail_i = ref (s.trail_size - 1) in
   let dl = s.dlevel in
   let continue_ = ref true in
   while !continue_ do
-    (match !confl with
-    | Some c ->
-        Array.iter
-          (fun q ->
-            let v = abs q in
-            if q <> !p && (not seen.(v)) && s.level.(v) > 0 then begin
-              seen.(v) <- true;
-              bump s v;
-              if s.level.(v) >= dl then incr counter
-              else learnt := q :: !learnt
-            end)
-          c.lits
-    | None -> ());
+    let c = !confl in
+    if c >= 0 then
+      for i = c + header to c + header + s.arena.(c) - 1 do
+        let q = s.arena.(i) in
+        let v = abs q in
+        if q <> !p && (not seen.(v)) && s.level.(v) > 0 then begin
+          seen.(v) <- true;
+          bump s v;
+          if s.level.(v) >= dl then incr counter else learnt := q :: !learnt
+        end
+      done;
     (* pick next literal from the trail *)
     while not seen.(abs s.trail.(!trail_i)) do
       decr trail_i
@@ -406,6 +500,22 @@ let pick_branch s =
   in
   go ()
 
+(* store a learnt clause of two or more literals, asserting literal
+   first, and watch the asserting literal and a highest-level one *)
+let add_learnt s learnt =
+  let c = alloc s (List.length learnt) in
+  let a = s.arena in
+  List.iteri (fun i q -> a.(c + header + i) <- q) learnt;
+  let best = ref (c + header + 1) in
+  for i = c + header + 1 to c + header + a.(c) - 1 do
+    if s.level.(abs a.(i)) > s.level.(abs a.(!best)) then best := i
+  done;
+  let tmp = a.(c + header + 1) in
+  a.(c + header + 1) <- a.(!best);
+  a.(!best) <- tmp;
+  attach s c;
+  c
+
 let solve ?(assumptions = []) s =
   if not s.ok then Unsat
   else begin
@@ -418,11 +528,11 @@ let solve ?(assumptions = []) s =
           | 1 -> true
           | -1 -> false
           | _ ->
-              enqueue s l None;
+              enqueue s l (-1);
               true)
         s.root_units
     in
-    if (not ok) || propagate s <> None then begin
+    if (not ok) || propagate s >= 0 then begin
       s.ok <- false;
       Unsat
     end
@@ -440,62 +550,47 @@ let solve ?(assumptions = []) s =
             | -1 -> false
             | _ ->
                 new_level s;
-                enqueue s a None;
-                if propagate s <> None then false else place rest)
+                enqueue s a (-1);
+                if propagate s >= 0 then false else place rest)
       in
       if not (place assumptions) then Unsat
       else begin
         let assumption_levels = s.dlevel in
         while !result = None do
-          match propagate s with
-          | Some confl ->
-              s.conflicts <- s.conflicts + 1;
-              incr conflicts_since_restart;
-              if s.dlevel <= assumption_levels then result := Some Unsat
-              else begin
-                let learnt, blevel = analyze s confl in
-                let blevel = max blevel assumption_levels in
-                backtrack s blevel;
-                (match learnt with
-                | [ l ] when assumption_levels = 0 ->
-                    s.root_units <- l :: s.root_units;
-                    if lit_value s l = 0 then enqueue s l None
-                    else if lit_value s l = -1 then result := Some Unsat
-                | l :: _ ->
-                    let c = { lits = Array.of_list learnt } in
-                    if Array.length c.lits >= 2 then begin
-                      (* watch the asserting literal and a highest-level one *)
-                      let best = ref 1 in
-                      Array.iteri
-                        (fun i q ->
-                          if i >= 1 && s.level.(abs q) > s.level.(abs c.lits.(!best)) then
-                            best := i)
-                        c.lits;
-                      let tmp = c.lits.(1) in
-                      c.lits.(1) <- c.lits.(!best);
-                      c.lits.(!best) <- tmp;
-                      attach s c;
-                      enqueue s l (Some c)
-                    end
-                    else enqueue s l None
-                | [] -> result := Some Unsat);
-                s.var_inc <- s.var_inc /. 0.95
-              end
-          | None ->
-              if float_of_int !conflicts_since_restart > !restart_ceiling then begin
-                conflicts_since_restart := 0;
-                incr restart_count;
-                restart_ceiling := 32.0 *. luby !restart_count;
-                backtrack s assumption_levels
-              end
-              else begin
-                match pick_branch s with
-                | None -> result := Some Sat
-                | Some v ->
-                    s.decisions <- s.decisions + 1;
-                    new_level s;
-                    enqueue s (if s.phase.(v) then v else -v) None
-              end
+          let confl = propagate s in
+          if confl >= 0 then begin
+            s.conflicts <- s.conflicts + 1;
+            incr conflicts_since_restart;
+            if s.dlevel <= assumption_levels then result := Some Unsat
+            else begin
+              let learnt, blevel = analyze s confl in
+              let blevel = max blevel assumption_levels in
+              backtrack s blevel;
+              (match learnt with
+              | [ l ] when assumption_levels = 0 ->
+                  s.root_units <- l :: s.root_units;
+                  if lit_value s l = 0 then enqueue s l (-1)
+                  else if lit_value s l = -1 then result := Some Unsat
+              | [ l ] -> enqueue s l (-1)
+              | l :: _ -> enqueue s l (add_learnt s learnt)
+              | [] -> result := Some Unsat);
+              s.var_inc <- s.var_inc /. 0.95
+            end
+          end
+          else if float_of_int !conflicts_since_restart > !restart_ceiling then begin
+            conflicts_since_restart := 0;
+            incr restart_count;
+            restart_ceiling := 32.0 *. luby !restart_count;
+            backtrack s assumption_levels
+          end
+          else begin
+            match pick_branch s with
+            | None -> result := Some Sat
+            | Some v ->
+                s.decisions <- s.decisions + 1;
+                new_level s;
+                enqueue s (if s.phase.(v) then v else -v) (-1)
+          end
         done;
         (match !result with
         | Some Sat -> ()
@@ -519,17 +614,22 @@ let stats s =
    added rather than a copy of them. *)
 let to_dimacs s =
   let buf = Buffer.create 4096 in
-  let clause lits =
-    Array.iter (fun l -> Buffer.add_string buf (string_of_int l ^ " ")) lits;
-    Buffer.add_string buf "0\n"
-  in
+  let lit l = Buffer.add_string buf (string_of_int l ^ " ") in
   let empty = if s.ok then 0 else 1 in
   Buffer.add_string buf
     (Printf.sprintf "p cnf %d %d\n" s.nvars (empty + List.length s.root_units + s.nproblem));
-  if not s.ok then clause [||];
-  List.iter (fun l -> clause [| l |]) (List.rev s.root_units);
+  if not s.ok then Buffer.add_string buf "0\n";
+  List.iter
+    (fun l ->
+      lit l;
+      Buffer.add_string buf "0\n")
+    (List.rev s.root_units);
   for i = 0 to s.nproblem - 1 do
-    clause s.problem.(i).lits
+    let c = s.problem.(i) in
+    for j = c + header to c + header + s.arena.(c) - 1 do
+      lit s.arena.(j)
+    done;
+    Buffer.add_string buf "0\n"
   done;
   Buffer.contents buf
 

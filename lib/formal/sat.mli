@@ -5,13 +5,27 @@
 
     A caller that knows the instance's structure can {!prefer} variables
     to branch on first (BMC prefers a circuit's input bits, on which every
-    gate output depends). Each problem clause is stored once, in the record
-    the watch lists point at; that store is also what {!to_dimacs}
+    gate output depends).
+
+    Every clause, problem or learnt, lives in one growable int array: a
+    three-word header (size, then the next clause in each of its two
+    watch lists) followed by its literals. The watch lists are singly
+    linked through those headers, so adding a clause or moving a watch
+    allocates nothing on the OCaml heap. The search is fixed by the
+    clauses added and their order: each watch list is visited in the
+    same order as by a solver that keeps its lists as OCaml lists and
+    rebuilds each one it visits, so the same calls give the same
+    conflicts, learnt clauses, decisions, models and counters. Each
+    problem clause is stored once; that store is what {!to_dimacs}
     exports. *)
 
 type t
 
-val create : unit -> t
+val create : ?vars:int -> unit -> t
+(** [vars] (default 16) sizes the per-variable arrays and the clause
+    store for about that many variables, so an instance of that size
+    does not regrow them; more variables can always be added. The search
+    does not depend on it. *)
 
 val new_var : t -> int
 (** Allocate a fresh variable; variables are positive integers. *)
@@ -28,6 +42,12 @@ val nb_clauses : t -> int
 val add_clause : t -> int list -> unit
 (** Add a clause. Adding the empty clause makes the instance trivially
     unsatisfiable. Clauses may be added between [solve] calls. *)
+
+val add_clause2 : t -> int -> int -> unit
+val add_clause3 : t -> int -> int -> int -> unit
+(** [add_clause2 s a b] is [add_clause s [a; b]], and [add_clause3]
+    likewise, without allocating when no literal is repeated or false at
+    the root (every Tseitin clause of {!Gate} in practice). *)
 
 val prefer : t -> int list -> unit
 (** [prefer s vars] raises the VSIDS activity of each variable in [vars]

@@ -114,7 +114,20 @@ let unroll ?(reset_cycles = 1) ?(free_init = false) ?covers (circuit : Circuit.t
         let selected = List.filter (fun (n, _) -> List.mem n names) p.Prep.covers in
         (selected, Hashtbl.mem (cone p mem_data_port (List.map snd selected)))
   in
-  let solver = Sat.create () in
+  (* size the solver once: a frame takes about two variables per bit of
+     the cone's signals and memory words. Past the cap the solver grows
+     by doubling, so a large instance reserves no more than it uses, and
+     a memory too deep to bit-blast reserves little before it is rejected
+     below. *)
+  let cone_bits =
+    Hashtbl.fold (fun n ty acc -> if in_cone n then acc + Ty.width ty else acc) p.Prep.env 0
+    + List.fold_left
+        (fun acc (mname, (ms : Prep.mem_state)) ->
+          let m = ms.Prep.mem in
+          if in_cone mname then acc + (m.Stmt.mem_depth * Ty.width m.Stmt.mem_data) else acc)
+        0 p.Prep.mems
+  in
+  let solver = Sat.create ~vars:(min (1 lsl 16) (2 * bound * cone_bits)) () in
   let ctx = Gate.create solver in
   let init_bits w = if free_init then Gate.fresh_bits ctx w else Gate.zero_bits ctx w in
   (* allocate input variables for all cycles; constrain reset; inputs

@@ -99,6 +99,22 @@ let () =
     fail "skipping jobs moved the seeds of the runs that ran";
   if not (contains (read_file "skip_profile.ndjson") "\"name\":\"fleet.jobs_skipped\",\"value\":12")
   then fail "fleet.jobs_skipped does not count the 12 skipped jobs";
+  (* with --progress, the last status line counts the skipped jobs as done
+     and gives no ETA *)
+  let rc =
+    Sys.command
+      (Printf.sprintf
+         "%s campaign --db skip_progress --design counter --design uart --waves \
+          'interp+lanes,fuzz,bmc-witness' --lanes 2 --seeds 3 --progress \
+          > /dev/null 2> skip_progress.txt"
+         (Filename.quote !sic))
+  in
+  if rc <> 0 then fail "campaign --progress exited %d" rc;
+  let last =
+    String.split_on_char '\r' (String.trim (read_file "skip_progress.txt")) |> List.rev |> List.hd
+  in
+  if not (contains last "campaign 22/22 done (12 skipped), ") || contains last "ETA" then
+    fail "last progress line is %S" last;
   (* an injected worker crash: recorded as a failed run, campaign completes
      — and the exhausted retries surface as a nonzero exit for CI *)
   run_expect 1

@@ -190,6 +190,30 @@ let test_dimacs_roundtrip =
          let s2 = Sat.of_dimacs (Sat.to_dimacs s1) in
          Sat.solve s1 = Sat.solve s2))
 
+(* [add_clause2]/[add_clause3] are [add_clause] on two and three literals:
+   over random clauses with repeats, tautologies and units (so literals
+   that are true or false at the root), the same clauses are stored and
+   the same search runs *)
+let test_add_clause_direct =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:200 ~name:"add_clause2/3 store what add_clause stores"
+       (QCheck.make gen_cnf) (fun (nvars, clauses) ->
+         let solver add =
+           let s = Sat.create () in
+           for _ = 1 to nvars do
+             ignore (Sat.new_var s)
+           done;
+           List.iter (add s) clauses;
+           ignore (Sat.solve s);
+           (Sat.to_dimacs s, Sat.stats s)
+         in
+         let direct s = function
+           | [ a; b ] -> Sat.add_clause2 s a b
+           | [ a; b; c ] -> Sat.add_clause3 s a b c
+           | lits -> Sat.add_clause s lits
+         in
+         solver Sat.add_clause = solver direct))
+
 (* the export is equisatisfiable, not a copy: units become root
    assignments and simplify later clauses, a unit added after a solve
    waits as a root unit for the next one, and a solver that units made
@@ -496,6 +520,58 @@ let test_cone_directed () =
   Alcotest.(check (list string)) "one reset cycle: r holds k's power-on zero" [ "target" ]
     (Bmc.unreachable one)
 
+(* --- the search, pinned ------------------------------------------------ *)
+
+(* Digests and counters recorded from the solver before its clauses and
+   watch lists moved into one int arena. A change of data layout alone
+   must keep every watch-list visit order, conflict, learnt clause and
+   decision, and so every verdict, witness and search counter. *)
+let digest s = Digest.to_hex (Digest.string s)
+
+(* every point of [low] checked on its own, as a closure wave does: each
+   report (with its solver line) and each witness *)
+let single_point_digest low ~bound =
+  Circuit.covers_of (Circuit.main low)
+  |> List.map (fun p ->
+         let r = Bmc.check_covers ~bound ~covers:[ p ] low in
+         Bmc.render r
+         ^ String.concat "" (List.map (fun (_, t) -> Sic_sim.Replay.to_string t) (Bmc.reachable r)))
+  |> String.concat "" |> digest
+
+(* the export after one single-point query, set up as [Bmc.check_covers]
+   sets it up: literal order inside each clause records the watch swaps *)
+let query_dimacs low ~bound point =
+  let u = Sic_formal.Unroll.unroll ~covers:[ point ] low ~bound in
+  let ctx = u.Sic_formal.Unroll.ctx in
+  let solver = Gate.solver ctx in
+  let tt = abs (Gate.tt ctx) in
+  Sat.prefer solver
+    (List.concat_map
+       (fun (_, frames) ->
+         Array.fold_left
+           (fun acc bits ->
+             Array.fold_left (fun acc l -> if abs l = tt then acc else abs l :: acc) acc bits)
+           [] frames)
+       u.Sic_formal.Unroll.input_bits);
+  let g = Gate.fresh ctx in
+  Gate.clause ctx (-g :: Array.to_list (List.assoc point u.Sic_formal.Unroll.cover_lits));
+  ignore (Sat.solve ~assumptions:[ g ] solver);
+  Sat.to_dimacs solver
+
+let test_search_pinned () =
+  let uart = line_instrumented (Sic_designs.Uart.circuit ()) in
+  Alcotest.(check string) "uart bound 20, every point alone" "f948e0265384e3fdd28edeb2719333ee"
+    (single_point_digest uart ~bound:20);
+  Alcotest.(check string) "i2c bound 40, every point alone" "622f737269c31ed0aaa84be6c4de4eed"
+    (single_point_digest (line_instrumented (Sic_designs.I2c.circuit ())) ~bound:40);
+  let whole = Bmc.render (Bmc.check_covers ~bound:40 uart) in
+  Alcotest.(check bool) "uart bound 40, whole circuit: solver line" true
+    (contains ~needle:"\nsolver: conflicts=2383 decisions=24508 propagations=981826 vars=8283\n"
+       whole);
+  Alcotest.(check string) "uart bound 40, whole circuit: report" "12e617e9498272155c0f2018ee8dbaad" (digest whole);
+  Alcotest.(check string) "uart query export after its solve" "034934e418da37ab3bd2f2b65541d3e3"
+    (digest (query_dimacs uart ~bound:20 "rx.l_UartRx"))
+
 let test_induction () =
   (* the Figure-7 FSM has a 2-bit state register with only 3 legal states;
      the illegal encoding 3 holds itself, so induction proves the cover
@@ -558,6 +634,7 @@ let tests =
     QCheck_alcotest.to_alcotest test_gate_vs_eval;
     Alcotest.test_case "gates: exhaustive 4-bit adder/compare" `Quick test_gate_exhaustive;
     test_dimacs_roundtrip;
+    test_add_clause_direct;
     Alcotest.test_case "dimacs: root units and unsat by units" `Quick test_dimacs_root_units;
     Alcotest.test_case "gates: structural hashing" `Quick test_gate_hashing;
     Alcotest.test_case "gates: hashing shrinks whole-circuit uart" `Quick test_gate_hashing_uart;
@@ -567,6 +644,7 @@ let tests =
     Alcotest.test_case "bmc: cone verdicts match the whole circuit (uart, i2c)" `Quick
       test_cone_designs;
     Alcotest.test_case "bmc: cone through memories and a reset value" `Quick test_cone_directed;
+    Alcotest.test_case "bmc: search pinned on uart and i2c" `Quick test_search_pinned;
     Alcotest.test_case "bmc: riscv-mini icache write unreachable" `Slow
       test_bmc_riscv_mini_icache;
   ]
